@@ -67,6 +67,9 @@ class LagrangianSplitting:
             (alg.space,), self.minus_space, 0,
             {(m,): {m: 1} for m in self.minus})
         self.model = CotangentModel(self.plus_space, omega.shift)
+        # not mutated after construction, so stored results stay valid
+        self._report = None     # check_splitting
+        self._pieces = {}       # decompose_action, per on_flags value
 
     def induced_structure(self):
         """Brackets restricted to l_+ inputs and projected onto l_+.
@@ -142,6 +145,8 @@ class SplittingReport:
 
 
 def check_splitting(s):
+    if s._report is not None:
+        return s._report
     space = s.alg.space
     comp = []
     both = set(s.plus) & set(s.minus)
@@ -162,7 +167,8 @@ def check_splitting(s):
         pairing.append(("shape", len(s.plus), len(s.minus)))
     elif invert(s.pairing_matrix()) is None:
         pairing.append(("singular", "omega restricted to l_- x l_+"))
-    return SplittingReport(comp, iso, closure, pairing)
+    s._report = SplittingReport(comp, iso, closure, pairing)
+    return s._report
 
 
 def suggest_complement(alg, omega, plus):
@@ -224,29 +230,30 @@ def decompose_action(s, max_j=None, on_flags="error"):
     pads the list with zeros up to that arity and refuses a decomposition
     that exceeds it.  on_flags is passed to action_from_brackets.
     """
-    rep = check_splitting(s)
-    if not rep.passed:
-        raise StructureError(f"invalid splitting: {rep}")
-    srep = check_symplectic(s.alg, s.omega)
-    if not srep.passed:
-        raise StructureError(f"ambient pairing fails check_symplectic: {srep}")
-    S = action_from_brackets(s.alg, s.omega, on_flags=on_flags)
-    _, ring, gen_map = _substitution(s, "to_model")
-    total = S.polynomial.substitute(ring, gen_map)
-    by_j = {}
-    for mono, c in total.terms.items():
-        j = s.model.fiber_count(mono)
-        by_j.setdefault(j, {})[mono] = c
-    top = max(by_j, default=0)
-    if max_j is not None:
-        if top > max_j:
-            raise InputError(f"decomposition has arity {top} > max_j={max_j}")
-        top = max_j
-    pieces = []
-    for j in range(top + 1):
-        poly = Polynomial(ring, by_j.get(j, {}))
-        pieces.append(PolyvectorField(s.model, poly))
-    return pieces
+    pieces = s._pieces.get(on_flags)
+    if pieces is None:
+        rep = check_splitting(s)
+        if not rep.passed:
+            raise StructureError(f"invalid splitting: {rep}")
+        srep = check_symplectic(s.alg, s.omega)
+        if not srep.passed:
+            raise StructureError(
+                f"ambient pairing fails check_symplectic: {srep}")
+        S = action_from_brackets(s.alg, s.omega, on_flags=on_flags)
+        _, ring, gen_map = _substitution(s, "to_model")
+        total = S.polynomial.substitute(ring, gen_map)
+        by_j = {}
+        for mono, c in total.terms.items():
+            by_j.setdefault(s.model.fiber_count(mono), {})[mono] = c
+        pieces = s._pieces[on_flags] = tuple(
+            PolyvectorField(s.model, Polynomial(ring, by_j.get(j, {})))
+            for j in range(max(by_j, default=0) + 1))
+    top = len(pieces) - 1
+    if max_j is not None and top > max_j:
+        raise InputError(f"decomposition has arity {top} > max_j={max_j}")
+    pad = 0 if max_j is None else max_j - top
+    return list(pieces) + [PolyvectorField(s.model, s.model.ring.zero())
+                           for _ in range(pad)]
 
 
 def reassemble(s, pieces):

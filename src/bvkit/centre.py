@@ -21,7 +21,7 @@ from .boundary import IntervalBulk, LagrangianSplitting, boundary_theory
 from .errors import InputError, StructureError
 from .graded import MultilinearMap
 from .linalg import rank
-from .linfty import LInftyStructure, strict_map_check, vf_to_brackets
+from .linfty import LInftyStructure, vf_to_brackets
 from .polyvectors import (check_homotopy_poisson, poisson_from_symplectic,
                           structure_polyvector)
 from .symplectic import check_symplectic

@@ -14,17 +14,15 @@
 
 Reports are JSON (default) or a plain table, written to stdout or --output.
 Exit status: 0 all checks passed, 1 at least one check failed, 2 the input
-could not be processed.  Failed checks always carry witnesses.  Reports are
-deterministic for a given input up to the timing field; BVKIT_THREADS caps
-the worker pool used for independent checks.
+could not be processed.  Failed checks always carry witnesses.  Checks run
+one after another in their declared order, and reports are deterministic for
+a given input up to the timing field.
 """
 
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -164,31 +162,6 @@ class CliReport:
         return "\n".join(lines) + "\n"
 
 
-def _pool_size(n_tasks):
-    cap = os.environ.get("BVKIT_THREADS")
-    if cap:
-        try:
-            cap = max(1, int(cap))
-        except ValueError:
-            raise InputError(f"BVKIT_THREADS={cap!r} is not an integer") \
-                from None
-    else:
-        cap = 4
-    return max(1, min(cap, n_tasks))
-
-
-def run_checks(report, tasks):
-    """tasks: ordered [(name, callable -> (passed, witnesses))]; runs on a
-    worker pool, records results in the given (deterministic) order."""
-    if not tasks:
-        return
-    with ThreadPoolExecutor(max_workers=_pool_size(len(tasks))) as pool:
-        futures = [(name, pool.submit(fn)) for name, fn in tasks]
-        for name, fut in futures:
-            passed, witnesses = fut.result()
-            report.add_check(name, passed, witnesses)
-
-
 def load_theory(path):
     if path is None:
         raise InputError("--input is required for this command")
@@ -225,14 +198,13 @@ def _arity_bounds(report, th, max_arity, max_polyvector):
 
 
 def cmd_check(report, th, max_polyvector):
-    tasks = [("relations", lambda: _do_relations(th.algebra))]
+    report.add_check("relations", *_do_relations(th.algebra))
     if th.omega is not None:
-        tasks.append(("symplectic", lambda: _do_symplectic(th)))
+        report.add_check("symplectic", *_do_symplectic(th))
     if th.splitting is not None:
-        tasks.append(("splitting", lambda: _do_splitting(th.splitting)))
+        report.add_check("splitting", *_do_splitting(th.splitting))
     if th.poisson is not None:
-        tasks.append(("homotopy-poisson", lambda: _do_poisson(th)))
-    run_checks(report, tasks)
+        report.add_check("homotopy-poisson", *_do_poisson(th))
     report.doc["outputs"]["space"] = space_json(th.algebra.space)
 
 

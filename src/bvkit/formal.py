@@ -80,9 +80,6 @@ class PolynomialRing:
     def monomial_degree(self, mono):
         return sum(self.degrees[i] for i in mono)
 
-    def from_terms(self, terms):
-        return Polynomial(self, terms)
-
     def __eq__(self, other):
         return (isinstance(other, PolynomialRing)
                 and self.names == other.names and self.degrees == other.degrees)
@@ -255,10 +252,9 @@ class Polynomial:
                 if target_ring.degrees[j] != ring.degrees[i]:
                     raise InputError("substitution image changes degree")
                 images[i] = [(j, 1)]
-        out = target_ring.zero()
+        expanded = {}
         for mono, c in self.terms.items():
             factors = [images[i] for i in mono]
-            expanded = {}
             for choice in itertools.product(*factors):
                 word = tuple(j for j, _ in choice)
                 coeff = c
@@ -274,11 +270,7 @@ class Polynomial:
                     expanded[cmono] = tot
                 elif cmono in expanded:
                     del expanded[cmono]
-            out = out + Polynomial(target_ring, expanded, normalise=False)
-        return out
-
-    def map_coefficients(self, fn):
-        return Polynomial(self.ring, {m: fn(c) for m, c in self.terms.items()})
+        return Polynomial(target_ring, expanded, normalise=False)
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.ring == other.ring
@@ -295,26 +287,6 @@ class Polynomial:
             mono = "*".join(self.ring.names[i] for i in m) or "1"
             bits.append(f"({c})*{mono}")
         return " + ".join(bits)
-
-
-def constant_poisson(f, g, tensor):
-    """Poisson bracket with constant coefficients.
-
-    tensor: {(i, j) -> scalar} giving {u_i, u_j}; the bracket is
-    {f, g} = sum_(i,j) (f d<-/du_i) * tensor[i,j] * (d->/du_j g),
-    a biderivation extending the generator brackets.
-    """
-    ring = f.ring
-    out = ring.zero()
-    for (i, j), c in tensor.items():
-        df = f.right_derivative(i)
-        if df.is_zero():
-            continue
-        dg = g.left_derivative(j)
-        if dg.is_zero():
-            continue
-        out = out + (df * dg).scale(c)
-    return out
 
 
 def _pair_sign(shifted_degrees):

@@ -246,6 +246,8 @@ class HomotopyPoissonStructure:
                     f"expected {want}")
             comps[j] = p
         self.components = {j: comps[j] for j in sorted(comps)}
+        # not mutated after construction, so a stored verdict stays valid
+        self._checked = None    # (algebra, PoissonReport) of the last check
 
     @property
     def shift(self):
@@ -325,8 +327,11 @@ def check_homotopy_poisson(alg, pbar):
     Q is the structure polyvector of `alg` on pbar's model; the three parts
     (base relations, L_Q Pi, [Pi, Pi]) are reported separately -- in the
     strict case (Pi = Pi_2 alone) the last two are exactly the paper-style
-    split of the Poisson condition.
+    split of the Poisson condition.  The report is stored on pbar and
+    reused while the same algebra object is checked against it.
     """
+    if pbar._checked is not None and pbar._checked[0] is alg:
+        return pbar._checked[1]
     model = pbar.model
     if alg.space != model.base:
         raise InputError("Poisson structure lives on a different space")
@@ -336,11 +341,13 @@ def check_homotopy_poisson(alg, pbar):
     mixed = model.bracket(Q.poly, P) + model.bracket(P, Q.poly)
     self_part = model.bracket(P, P)
     total = qq + mixed + self_part
-    return PoissonReport(
+    rep = PoissonReport(
         _by_bidegree(model, total),
         _by_bidegree(model, qq),
         _by_bidegree(model, mixed),
         _by_bidegree(model, self_part))
+    pbar._checked = (alg, rep)
+    return rep
 
 
 def poisson_from_symplectic(alg, omega):

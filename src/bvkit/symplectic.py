@@ -29,8 +29,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import InputError, StructureError
-from .formal import (Polynomial, PolynomialRing, constant_poisson,
-                     form_to_polynomial)
+from .formal import Polynomial, PolynomialRing, form_to_polynomial
 from .graded import koszul_sign, norm_scalar
 from .linalg import invert, kernel_vector
 from .linfty import LInftyStructure, vf_to_brackets

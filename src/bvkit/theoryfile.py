@@ -72,7 +72,8 @@ def _build_model(recipe):
     if kind == "torus":
         return torus_model()
     if kind == "laurent":
-        return laurent_dolbeault_model(int(recipe.get("window", 2)))
+        return laurent_dolbeault_model(_int(recipe.get("window", 2),
+                                            "model.window"))
     raise InputError(f"unknown model kind {kind!r}")
 
 
@@ -272,6 +273,43 @@ def _require(cond, msg):
         raise InputError(msg)
 
 
+def _int(value, where):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{where}: {value!r} is not an integer") from None
+
+
+def _obj(value, where):
+    _require(isinstance(value, dict), f"{where} must be an object")
+    return value
+
+
+def _rows(rows, width, where, shape):
+    """rows must be a list of `width`-element lists; returns it."""
+    _require(isinstance(rows, list), f"{where}: expected a list of entries")
+    for r in rows:
+        _require(isinstance(r, list) and len(r) == width,
+                 f"{where}: entry {r!r} is not {shape}")
+    return rows
+
+
+def _labels(labels, where, known=None):
+    """A list of label strings (each in `known`, when given) as a tuple."""
+    what = "labels" if known is None else "labels declared in 'space'"
+    _require(isinstance(labels, list) and all(
+        isinstance(l, str) and (known is None or l in known)
+        for l in labels), f"{where}: {labels!r} is not a list of {what}")
+    return tuple(labels)
+
+
+def _shifted(doc, name):
+    """A section carrying an integer 'shift': (section, shift)."""
+    sec = _obj(doc[name], f"'{name}'")
+    _require("shift" in sec, f"{name}: missing 'shift'")
+    return sec, _int(sec["shift"], f"{name}.shift")
+
+
 def parse(text):
     try:
         doc = json.loads(text)
@@ -284,53 +322,49 @@ def parse(text):
     _require(isinstance(doc.get("space"), dict), "missing 'space' object")
     space = {}
     for d, labs in doc["space"].items():
-        try:
-            deg = int(d)
-        except ValueError:
-            raise InputError(f"space: degree {d!r} is not an integer") \
-                from None
-        _require(isinstance(labs, list) and
-                 all(isinstance(l, str) for l in labs),
-                 f"space[{d}]: expected a list of labels")
-        space[deg] = tuple(labs)
+        space[_int(d, "space: degree")] = _labels(labs, f"space[{d}]")
     known = {l for labs in space.values() for l in labs}
     brackets = {}
-    for n, ents in (doc.get("brackets") or {}).items():
-        arity = int(n)
+    for n, ents in _obj(doc.get("brackets") or {}, "'brackets'").items():
         rows = []
-        for ent in ents:
-            _require(isinstance(ent, list) and len(ent) == 3,
-                     f"brackets[{n}]: entry {ent!r} is not [key, out, coeff]")
-            key, out, c = ent
-            for lab in list(key) + [out]:
-                _require(lab in known,
-                         f"brackets[{n}]: unknown label {lab!r}")
-            rows.append((tuple(key), out, parse_scalar(c, f"brackets[{n}]")))
-        brackets[arity] = rows
+        for key, out, c in _rows(ents, 3, f"brackets[{n}]",
+                                 "[key, out, coeff]"):
+            _require(isinstance(out, str) and out in known,
+                     f"brackets[{n}]: unknown label {out!r}")
+            rows.append((_labels(key, f"brackets[{n}]", known), out,
+                         parse_scalar(c, f"brackets[{n}]")))
+        brackets[_int(n, "brackets: arity")] = rows
     flags = {}
-    for n, keys in (doc.get("flags") or {}).items():
-        flags[int(n)] = [tuple(k) for k in keys]
+    for n, keys in _obj(doc.get("flags") or {}, "'flags'").items():
+        _require(isinstance(keys, list), f"flags[{n}]: expected a list")
+        flags[_int(n, "flags: arity")] = [_labels(k, f"flags[{n}]", known)
+                                          for k in keys]
     symplectic = None
     if "symplectic" in doc:
-        sec = doc["symplectic"]
-        ents = []
-        for ent in sec.get("entries", []):
-            x, y, c = ent
-            ents.append((x, y, parse_scalar(c, "symplectic")))
-        symplectic = (int(sec["shift"]), ents)
+        sec, shift = _shifted(doc, "symplectic")
+        ents = [(x, y, parse_scalar(c, "symplectic"))
+                for x, y, c in _rows(sec.get("entries", []), 3, "symplectic",
+                                     "[x, y, coeff]")]
+        symplectic = (shift, ents)
     model = doc.get("model")
+    _require(model is None or isinstance(model, dict),
+             "'model' must be an object")
     splitting = None
     if "splitting" in doc:
-        sec = doc["splitting"]
-        splitting = (tuple(sec.get("plus", ())), tuple(sec.get("minus", ())))
+        sec = _obj(doc["splitting"], "'splitting'")
+        splitting = (_labels(sec.get("plus", []), "splitting.plus"),
+                     _labels(sec.get("minus", []), "splitting.minus"))
     poisson = None
     if "poisson" in doc:
-        sec = doc["poisson"]
+        sec, shift = _shifted(doc, "poisson")
         comps = {}
-        for j, terms in (sec.get("components") or {}).items():
-            comps[int(j)] = [(tuple(k), parse_scalar(c, "poisson"))
-                             for k, c in terms]
-        poisson = (int(sec["shift"]), comps)
+        for j, terms in _obj(sec.get("components") or {},
+                             "poisson.components").items():
+            comps[_int(j, "poisson: arity")] = [
+                (_labels(k, f"poisson[{j}]"), parse_scalar(c, "poisson"))
+                for k, c in _rows(terms, 2, f"poisson[{j}]",
+                                  "[labels, coeff]")]
+        poisson = (shift, comps)
     return TheoryFile(doc.get("name", ""), doc.get("description", ""),
                       space, brackets, flags, symplectic, model, splitting,
                       poisson)

@@ -109,6 +109,8 @@ def test_decompose_max_j():
     s = LagrangianSplitting(t, om, plus, minus)
     padded = decompose_action(s, max_j=3)
     assert len(padded) == 4 and padded[2].is_zero() and padded[3].is_zero()
+    # padding goes on a fresh list, never into the stored decomposition
+    assert len(decompose_action(s)) == 2
     with pytest.raises(InputError):
         decompose_action(s, max_j=0)
 

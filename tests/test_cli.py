@@ -1,8 +1,11 @@
 """CLI: exit codes, report shape, determinism, command pipelines."""
 import json
 
+import pytest
 from click.testing import CliRunner
 
+import bvkit.boundary
+import bvkit.polyvectors
 from bvkit.cli import main
 from bvkit.examples import get_example, sl2_structure, sl2_trace
 from bvkit.theoryfile import (TheoryFile, canonical_bracket_entries,
@@ -70,14 +73,59 @@ def test_missing_input_exit_2():
 def test_reports_deterministic(tmp_path):
     text = serialize(get_example("chern-simons"))
     docs = []
-    for threads in ("1", "4"):
-        res = run("check", "-i", "-", input=text,
-                  env={"BVKIT_THREADS": threads})
+    for _ in range(2):
+        res = run("check", "-i", "-", input=text)
         assert res.exit_code == 0
         doc = json.loads(res.output)
         doc.pop("timing_ms")
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]
+
+
+def _chern_simons_doc():
+    return json.loads(serialize(get_example("chern-simons")))
+
+
+def _drop_symplectic_shift(doc):
+    del doc["symplectic"]["shift"]
+
+
+def _poisson_without_shift(doc):
+    doc["poisson"] = {"components": {}}
+
+
+def _word_bracket_arity(doc):
+    doc["brackets"]["two"] = doc["brackets"].pop("2")
+
+
+def _word_flag_arity(doc):
+    doc["flags"] = {"two": [["e", "f"]]}
+
+
+def _word_poisson_arity(doc):
+    doc["poisson"] = {"shift": 1, "components": {"two": []}}
+
+
+def _short_pairing_entry(doc):
+    doc["symplectic"]["entries"].append(["e"])
+
+
+def _unknown_flag_label(doc):
+    doc["flags"] = {"2": [["e", "nope"]]}
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop_symplectic_shift, _poisson_without_shift, _word_bracket_arity,
+    _word_flag_arity, _word_poisson_arity, _short_pairing_entry,
+    _unknown_flag_label])
+@pytest.mark.parametrize("command", ["check", "boundary"])
+def test_malformed_file_exit_2(command, mutate):
+    doc = _chern_simons_doc()
+    mutate(doc)
+    res = run(command, "-i", "-", input=json.dumps(doc))
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
 
 
 def test_output_flag(tmp_path):
@@ -112,6 +160,44 @@ def test_boundary_pipeline_chern_simons():
     comps = doc["outputs"]["boundary_poisson"]["components"]
     assert list(comps) == ["2"]
     assert all(len(mono) == 3 for mono, _ in comps["2"])   # linear bivector
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_boundary_computes_action_and_symplectic_once(monkeypatch):
+    action = _count_calls(monkeypatch, bvkit.boundary, "action_from_brackets")
+    sympl = _count_calls(monkeypatch, bvkit.boundary, "check_symplectic")
+    res = run("boundary", "-i", "-",
+              input=serialize(get_example("chern-simons")))
+    assert res.exit_code == 0, res.output
+    assert len(action) == 1 and len(sympl) == 1
+
+
+def test_boundary_non_invariant_pairing_exit_2():
+    doc = _chern_simons_doc()
+    doc["symplectic"]["entries"] = [
+        [x, y, "3" if (x, y) == ("e", "f") else c]
+        for x, y, c in doc["symplectic"]["entries"]]
+    res = run("boundary", "-i", "-", input=json.dumps(doc))
+    assert res.exit_code == 2
+    assert "ambient pairing fails check_symplectic" in res.stderr
+
+
+def test_centre_computes_poisson_residual_once(monkeypatch):
+    reports = _count_calls(monkeypatch, bvkit.polyvectors, "PoissonReport")
+    res = run("centre", "-i", "-",
+              input=serialize(get_example("poisson-sigma")))
+    assert res.exit_code == 0, res.output
+    assert len(reports) == 1
 
 
 def test_boundary_failing_splitting_exit_1():

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from bvkit.errors import InputError
-from bvkit.formal import (Polynomial, PolynomialRing, constant_poisson,
-                          form_to_polynomial, polynomial_to_form)
+from bvkit.formal import (Polynomial, PolynomialRing, form_to_polynomial,
+                          polynomial_to_form)
 from bvkit.graded import GradedVectorSpace, koszul_sign
+from bvkit.symplectic import graded_poisson
 
 
 def random_ring(rng):
@@ -149,7 +150,9 @@ def test_form_polynomial_roundtrip():
 
 
 def test_constant_poisson_classical():
-    # two even generators with {p, x} = 1: the classical bracket
+    # two even generators with {p, x} = 1: the classical bracket.  On even
+    # generators graded_poisson needs no signs, so it is the plain
+    # constant-coefficient bracket sum B[i,j] (d_i f)(d_j g)
     R = PolynomialRing(["x", "p"], [0, 0])
     x, p = R.generator("x"), R.generator("p")
     B = {(1, 0): 1, (0, 1): -1}
@@ -157,7 +160,7 @@ def test_constant_poisson_classical():
     g = p * p
     # {f,g} = df/dp dg/dx *(-1)... classical: {f,g} = df/dx dg/dp - df/dp dg/dx
     # with B as above: {f,g} = (f d/dp)*(dg/dx)*1 + (f d/dx)*(dg/dp)*(-1)
-    got = constant_poisson(f, g, B)
+    got = graded_poisson(f, g, B)
     want = (x * x * p * p).scale(0) - (x * x).scale(1) * R.zero()
     # compute by hand: f=x^2 p, g=p^2. df/dp = x^2, dg/dx = 0; df/dx=2xp, dg/dp=2p
     want = (x * p * p).scale(-4)
@@ -165,7 +168,8 @@ def test_constant_poisson_classical():
 
 
 def test_constant_poisson_biderivation():
-    # Leibniz in the second slot; f kept even so no graded signs intervene
+    # Leibniz in the second slot; f and every tensor index are even, so no
+    # graded signs intervene even though g and h contain the odd t
     R = PolynomialRing(["x", "p", "t"], [0, 0, 1])
     B = {(1, 0): 1, (0, 1): -1}
     rng = random.Random(3)
@@ -173,6 +177,6 @@ def test_constant_poisson_biderivation():
     f = x * x * p + p * p * p
     g = random_poly(R, rng)
     h = random_poly(R, rng)
-    lhs = constant_poisson(f, g * h, B)
-    rhs = constant_poisson(f, g, B) * h + g * constant_poisson(f, h, B)
+    lhs = graded_poisson(f, g * h, B)
+    rhs = graded_poisson(f, g, B) * h + g * graded_poisson(f, h, B)
     assert lhs.terms == rhs.terms
