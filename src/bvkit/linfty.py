@@ -19,6 +19,7 @@ are implemented; they are compared in the test suite, not collapsed here.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -108,14 +109,15 @@ class RelationReport:
     """Outcome of the generalized Jacobi check.
 
     violations: list of (arity k, argument tuple, output label, residual).
-    indeterminate: canonical tuples whose residual touches a flagged bracket
-    coefficient and therefore cannot be decided inside the stored window.
+    indeterminate: the (unordered) set of canonical tuples whose residual
+    touches a flagged bracket coefficient and therefore cannot be decided
+    inside the stored window.
     passed means: no violation among the decidable tuples.
     """
 
     def __init__(self, violations, indeterminate, arities_checked):
         self.violations = violations
-        self.indeterminate = sorted(indeterminate)
+        self.indeterminate = indeterminate
         self.arities_checked = sorted(arities_checked)
         self.passed = not violations
 
@@ -123,6 +125,20 @@ class RelationReport:
         return (f"RelationReport(passed={self.passed}, "
                 f"violations={len(self.violations)}, "
                 f"indeterminate={len(self.indeterminate)})")
+
+
+@functools.cache
+def _unshuffles(k, j, parities):
+    """((S, rest, Koszul sign), ...) over the j-element subsets S of range(k).
+
+    The sign of the unshuffle depends only on which shifted degrees are odd,
+    so the plan is built once per (k, j, parity pattern) and kept.
+    """
+    plan = []
+    for S in itertools.combinations(range(k), j):
+        rest = tuple(p for p in range(k) if p not in S)
+        plan.append((S, rest, koszul_sign(S + rest, parities)))
+    return tuple(plan)
 
 
 def _residual_on_tuple(alg, key):
@@ -134,7 +150,7 @@ def _residual_on_tuple(alg, key):
     """
     space = alg.space
     k = len(key)
-    sdegs = tuple(space.degree(l) - 1 for l in key)
+    parities = tuple((space.degree(l) - 1) % 2 for l in key)
     out = {}
     hit_flag = False
     for j in alg.arities:
@@ -143,11 +159,7 @@ def _residual_on_tuple(alg, key):
             continue
         bj = alg.brackets[j]
         bi = alg.brackets[i]
-        for S in itertools.combinations(range(k), j):
-            in_s = set(S)
-            rest = tuple(p for p in range(k) if p not in in_s)
-            perm = list(S) + list(rest)
-            sign = koszul_sign(perm, sdegs)
+        for S, rest, sign in _unshuffles(k, j, parities):
             skey = tuple(key[p] for p in S)
             if skey in bj.flags:
                 hit_flag = True
@@ -186,12 +198,16 @@ def _candidate_tuples(alg):
     exact = set()
     maybe = set()
     by_output = {}
+    # sort_labels(fkey + rest) depends only on the labels of fkey, so one
+    # ordering of each flagged inner tuple covers its whole orbit
+    flag_orbits = {}
     for j, bj in alg.brackets.items():
         idx = {}
         for jkey, outs in bj.coefficients.items():
             for o in outs:
                 idx.setdefault(o, []).append(jkey)
         by_output[j] = idx
+        flag_orbits[j] = {space.sort_labels(fkey) for fkey in bj.flags}
     for i, bi in alg.brackets.items():
         # only the tail of the outer tuple matters when slot 0 is fed by a
         # flagged inner bracket; dedupe tails before the cross product
@@ -205,7 +221,7 @@ def _candidate_tuples(alg):
                     exact.add(space.sort_labels(jkey + rest))
             # a flagged inner tuple has unknown outputs: it can feed any
             # stored (or flagged) outer tuple through slot 0
-            for fkey in bj.flags:
+            for fkey in flag_orbits[j]:
                 for rest in tails:
                     maybe.add(space.sort_labels(fkey + rest))
             for fkey in bi.flags:
@@ -218,24 +234,31 @@ def _candidate_tuples(alg):
 def check_relations(alg):
     """Check the generalized Jacobi relations exactly; returns RelationReport.
 
-    Complete: the residual vanishes identically outside the enumerated
-    candidate tuples, so a passing report certifies every relation in every
-    arity reachable from the stored brackets.
+    The residual vanishes identically outside the enumerated candidate
+    tuples, so a passing report means no violation among the decidable
+    tuples in every arity reachable from the stored brackets.  Tuples whose
+    residual needs a flagged coefficient are not decided; they are listed in
+    RelationReport.indeterminate.
     """
     exact, maybe = _candidate_tuples(alg)
     violations = []
+    hits = []
     # every maybe-tuple contains a flagged sub-tuple, so its residual is
     # indeterminate without evaluation (flags are permutation-closed)
-    indeterminate = set(maybe)
     arities = {len(k) for k in maybe}
-    for key in sorted(exact - maybe, key=lambda k: (len(k), k)):
+    for key in exact - maybe:
         arities.add(len(key))
         res, hit = _residual_on_tuple(alg, key)
         if hit:
-            indeterminate.add(key)
+            hits.append(key)
             continue
-        for o, c in sorted(res.items()):
+        for o, c in res.items():
             violations.append((len(key), key, o, c))
+    # (arity, key, output) is unique, so this is the order by arity, key
+    # and output label
+    violations.sort()
+    # maybe is left as it was returned: the union is a new set
+    indeterminate = maybe.union(hits) if hits else maybe
     return RelationReport(violations, indeterminate, arities)
 
 

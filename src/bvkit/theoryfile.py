@@ -85,6 +85,14 @@ def connection_tensor(model, alg, derivation=None, dz_twist=None):
     i.e. (-1)^|u| (u . dz) (x) b_2(w, x).  Window-escaping derivatives are
     flagged like the model differential.
     """
+    if derivation is not None and (not isinstance(derivation, str)
+                                   or derivation not in model.derivations):
+        raise InputError(
+            f"derivation {derivation!r} is not a derivation of "
+            f"{model.name or 'the model'}; available: "
+            f"{sorted(model.derivations)}")
+    if dz_twist is not None and not isinstance(dz_twist, str):
+        raise InputError(f"dz_twist {dz_twist!r} is not a label string")
     t = tensor_linfty(model, alg)
     if derivation is None and dz_twist is None:
         return t

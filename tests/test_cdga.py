@@ -1,4 +1,6 @@
 """Builtin cdga models, tensor L-infinity structures, AKSZ pairings."""
+import hashlib
+
 import pytest
 
 from bvkit.cdga import (CdgaModel, aksz_symplectic, cdga_from_products,
@@ -17,6 +19,13 @@ def sl2():
     V = GradedVectorSpace({0: ["e", "f", "h"]})
     return LInftyStructure.from_entries(
         V, {2: [(("e", "f"), "h", 1), (("h", "e"), "e", 2), (("h", "f"), "f", -2)]})
+
+
+def broken_sl2():
+    # [h, e] = 3e destroys the Jacobi identity
+    V = GradedVectorSpace({0: ["e", "f", "h"]})
+    return LInftyStructure.from_entries(
+        V, {2: [(("e", "f"), "h", 1), (("h", "e"), "e", 3), (("h", "f"), "f", -2)]})
 
 
 def trace_form(space):
@@ -144,6 +153,21 @@ def test_tensor_laurent_sl2():
     assert t.brackets[2].flags      # out-of-window products
     rep = check_relations(t)
     assert rep.passed
+    assert len(rep.indeterminate) == 475816
+
+
+def test_tensor_laurent_broken_sl2_pinned():
+    """[h, e] = 3e on Laurent window 2: the violations and the undecided
+    tuples, pinned to the values of the sorted-list implementation."""
+    rep = check_relations(tensor_linfty(laurent_dolbeault_model(2),
+                                        broken_sl2()))
+    assert not rep.passed
+    assert len(rep.violations) == 12544
+    assert len(rep.indeterminate) == 475816
+    assert rep.violations[0] == (
+        3, ("z-1w-1|e", "z-1w-1dw|f", "z0w0dz|h"), "z-2w-2dzdw|h", 1)
+    assert hashlib.sha256(repr(rep.violations).encode()).hexdigest() == \
+        "50881db0d5e3a8d23c6046b525d9bf5fb9bfc9402454ef43e824407ce58cf619"
 
 
 def test_tensor_mixed_degree_relations():

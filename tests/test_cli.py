@@ -1,13 +1,15 @@
 """CLI: exit codes, report shape, determinism, command pipelines."""
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 import bvkit.boundary
 import bvkit.polyvectors
+from bvkit.cdga import laurent_dolbeault_model
 from bvkit.cli import main
-from bvkit.examples import get_example, sl2_structure, sl2_trace
+from bvkit.examples import get_example, sl2_structure, sl2_trace, wzw_splitting
 from bvkit.theoryfile import (TheoryFile, canonical_bracket_entries,
                               canonical_pairing_entries, serialize)
 
@@ -114,10 +116,20 @@ def _unknown_flag_label(doc):
     doc["flags"] = {"2": [["e", "nope"]]}
 
 
+def _unknown_model_derivation(doc):
+    del doc["splitting"]
+    doc["model"] = {"kind": "torus", "derivation": "nope"}
+
+
+def _list_dz_twist(doc):
+    del doc["splitting"]
+    doc["model"]["dz_twist"] = ["e"]
+
+
 @pytest.mark.parametrize("mutate", [
     _drop_symplectic_shift, _poisson_without_shift, _word_bracket_arity,
     _word_flag_arity, _word_poisson_arity, _short_pairing_entry,
-    _unknown_flag_label])
+    _unknown_flag_label, _unknown_model_derivation, _list_dz_twist])
 @pytest.mark.parametrize("command", ["check", "boundary"])
 def test_malformed_file_exit_2(command, mutate):
     doc = _chern_simons_doc()
@@ -126,6 +138,26 @@ def test_malformed_file_exit_2(command, mutate):
     assert res.exit_code == 2, (res.output, res.exception)
     assert res.stderr.startswith("error: ")
     assert "Traceback" not in res.stderr
+
+
+def test_check_broken_wzw_window_2_witnesses():
+    """The wzw file on Laurent window 2 with [e, h] -> e scaled by 3/2: the
+    relations witnesses, their count and the undecided count are pinned."""
+    tf = get_example("wzw")
+    tf.model = dict(tf.model, window=2)
+    tf.splitting = wzw_splitting(laurent_dolbeault_model(2))
+    doc = json.loads(serialize(tf))
+    for ent in doc["brackets"]["2"]:
+        if ent[0] == ["e", "h"] and ent[1] == "e":
+            ent[2] = str(Fraction(ent[2]) * Fraction(3, 2))
+    res = run("check", "-i", "-", input=json.dumps(doc))
+    assert res.exit_code == 1, res.output
+    rel = json.loads(res.output)["checks"][0]
+    assert rel["name"] == "relations" and not rel["passed"]
+    assert rel["witnesses"][0] == [
+        "3", ["z-1w-1|e", "z-1w-1dw|f", "z0w0dz|h"], "z-2w-2dzdw|h", "1"]
+    assert rel["witnesses"][-2:] == [
+        "... 12534 more", "indeterminate (window-flagged) tuples: 478399"]
 
 
 def test_output_flag(tmp_path):
