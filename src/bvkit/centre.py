@@ -24,7 +24,7 @@ from .linalg import rank
 from .linfty import LInftyStructure, vf_to_brackets
 from .polyvectors import (check_homotopy_poisson, poisson_from_symplectic,
                           structure_polyvector)
-from .symplectic import check_symplectic
+from .symplectic import check_symplectic, hamiltonian_components
 
 
 class TwistedCotangent:
@@ -63,12 +63,8 @@ def assemble_twisted(l, pbar):
     if model.base != l.space:
         raise InputError("Poisson structure lives on a different space")
     F = structure_polyvector(l, model.shift).poly + pbar.function()
-    comps = {}
-    for c in model.total.labels:
-        X = model.bracket(F, model.ring.generator(c))
-        if not X.is_zero():
-            comps[c] = X
-    return vf_to_brackets(model.total, comps)
+    return vf_to_brackets(model.total, hamiltonian_components(
+        F, model.tensor, model.total.labels))
 
 
 def twisted_cotangent(l, pbar, shift=None):

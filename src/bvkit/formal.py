@@ -8,11 +8,16 @@ base coordinates of degree 1 - d and fiber coordinates of degree n - 1 + d,
 i.e. Sym(l*[-1]) tensor Sym(l[1-n]).
 
 Monomials are stored as non-decreasing tuples of generator indices with exact
-rational coefficients; odd generators square to zero.  The form <-> polynomial
-dictionary below converts between graded-symmetric multilinear forms (stored
-on all permutations, symmetric with respect to shifted degrees d - 1) and
-polynomials, normalised so that the polynomial is "T evaluated on the generic
-degree-1 element".
+rational coefficients; odd generators square to zero.  All first derivatives
+of a polynomial come from one pass over its terms, as a table
+{generator index: {monomial: scalar}} (left or right, see
+Polynomial._derivative_table); the Poisson brackets of the symplectic layer
+contract these tables instead of differentiating once per generator.
+
+The form <-> polynomial dictionary below converts between graded-symmetric
+multilinear forms (stored on all permutations, symmetric with respect to
+shifted degrees d - 1) and polynomials, normalised so that the polynomial is
+"T evaluated on the generic degree-1 element".
 """
 from __future__ import annotations
 
@@ -163,52 +168,44 @@ class Polynomial:
         if self.ring != other.ring:
             raise InputError("polynomials live in different rings")
 
+    def _derivative_table(self, right=False):
+        """Every first derivative in one pass over the terms:
+        {generator index: {monomial: scalar}}, left derivatives by default.
+
+        Removing the generator at position p of a monomial costs the sign
+        (-1)^(number of odd generators crossed) when that generator is odd:
+        the odd generators before p for a left derivative, after p for a
+        right one.  Two terms share a remainder only when they come from one
+        monomial with a repeated even generator, and those add, so no entry
+        cancels to zero.
+        """
+        parity = self.ring.parity
+        table = {}
+        for mono, c in self.terms.items():
+            before = 0
+            total = sum(parity[i] for i in mono) if right else 0
+            for p, j in enumerate(mono):
+                odd = parity[j]
+                crossed = total - before - odd if right else before
+                v = -c if odd and crossed % 2 else c
+                rest = mono[:p] + mono[p + 1:]
+                row = table.setdefault(j, {})
+                row[rest] = row.get(rest, 0) + v
+                before += odd
+        return table
+
     def left_derivative(self, gen):
         """d/d(gen) acting from the left."""
-        ring = self.ring
-        j = gen if isinstance(gen, int) else ring.gen_index(gen)
-        odd_j = ring.parity[j]
-        out = {}
-        for mono, c in self.terms.items():
-            for p, idx in enumerate(mono):
-                if idx != j:
-                    continue
-                sign = 1
-                if odd_j:
-                    crossings = sum(1 for q in range(p) if ring.parity[mono[q]])
-                    if crossings % 2:
-                        sign = -1
-                rest = mono[:p] + mono[p + 1:]
-                tot = out.get(rest, 0) + sign * c
-                if tot:
-                    out[rest] = tot
-                elif rest in out:
-                    del out[rest]
-        return Polynomial(ring, out, normalise=False)
+        return self._derivative(gen, right=False)
 
     def right_derivative(self, gen):
         """d/d(gen) acting from the right."""
-        ring = self.ring
-        j = gen if isinstance(gen, int) else ring.gen_index(gen)
-        odd_j = ring.parity[j]
-        out = {}
-        for mono, c in self.terms.items():
-            for p, idx in enumerate(mono):
-                if idx != j:
-                    continue
-                sign = 1
-                if odd_j:
-                    crossings = sum(1 for q in range(p + 1, len(mono))
-                                    if ring.parity[mono[q]])
-                    if crossings % 2:
-                        sign = -1
-                rest = mono[:p] + mono[p + 1:]
-                tot = out.get(rest, 0) + sign * c
-                if tot:
-                    out[rest] = tot
-                elif rest in out:
-                    del out[rest]
-        return Polynomial(ring, out, normalise=False)
+        return self._derivative(gen, right=True)
+
+    def _derivative(self, gen, right):
+        j = gen if isinstance(gen, int) else self.ring.gen_index(gen)
+        return Polynomial(self.ring, self._derivative_table(right).get(j, {}),
+                          normalise=False)
 
     def by_arity(self):
         """Split into homogeneous polynomial-arity pieces: {k: Polynomial}."""

@@ -320,13 +320,14 @@ def apply_vf(ring, components, poly):
     plus-sign unshuffle relations of the stored brackets (the opposite order
     encodes a degree-twisted structure); it is an odd right-derivation, so
     vanishing of Q^2 on generators still implies Q^2 = 0 everywhere."""
+    table = poly._derivative_table()
     out = ring.zero()
     for a, qa in components.items():
         if qa.is_zero():
             continue
-        df = poly.left_derivative(ring.gen_index(a))
-        if not df.is_zero():
-            out = out + df * qa
+        df = table.get(ring.gen_index(a))
+        if df:
+            out = out + Polynomial(ring, df, normalise=False) * qa
     return out
 
 

@@ -16,14 +16,15 @@ fiber-linear function encoding the L-infinity structure of the base.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from math import factorial
 
 from .errors import InputError
-from .formal import PolynomialRing, polynomial_to_form
+from .formal import Polynomial, PolynomialRing, polynomial_to_form
 from .graded import GradedVectorSpace
 from .linfty import brackets_to_vf
 from .symplectic import (ShiftedSymplecticStructure, graded_poisson,
-                         poisson_tensor)
+                         hamiltonian_components, poisson_tensor)
 
 
 FIBER_SUFFIX = "*"
@@ -179,8 +180,9 @@ def vector_field(model, components):
     """The arity-1 polyvector of a vector field given by components
     {base label: Polynomial in the base coordinates}: the unique fiber-linear
     function F with {F, xi_c} = X^c for every base coordinate."""
-    F = model.ring.zero()
+    ring = model.ring
     inv = model.omega.inverse()
+    terms = {}
     for c, comp in components.items():
         if comp.is_zero():
             continue
@@ -188,9 +190,13 @@ def vector_field(model, components):
         # dl/dp_c (w * p_c * X^c) * inv[(p_c, c)] = X^c since inv entries
         # square to 1 for the canonical pairing
         w = inv[(pc, c)]
-        lifted = comp if comp.ring == model.ring else model.lift(comp)
-        F = F + (model.ring.generator(pc) * lifted).scale(w)
-    return PolyvectorField(model, F)
+        lifted = comp if comp.ring == ring else model.lift(comp)
+        i = ring.gen_index(pc)
+        for mono, v in lifted.terms.items():
+            terms[(i,) + mono] = w * v
+    # the words p_c * mono are distinct; normalising sorts them with their
+    # Koszul signs
+    return PolyvectorField(model, Polynomial(ring, terms))
 
 
 def vf_components(p):
@@ -202,12 +208,7 @@ def vf_components(p):
     if p.j != 1:
         raise InputError("vf_components needs an arity-1 polyvector")
     model = p.model
-    out = {}
-    for c in model.base.labels:
-        comp = model.bracket(p.poly, model.ring.generator(c))
-        if not comp.is_zero():
-            out[c] = comp
-    return out
+    return hamiltonian_components(p.poly, model.tensor, model.base.labels)
 
 
 def structure_polyvector(alg, shift):
@@ -255,10 +256,11 @@ class HomotopyPoissonStructure:
 
     def function(self):
         """The defining function sum_j Pi_j on the cotangent total space."""
-        F = self.model.ring.zero()
+        # components differ in fiber arity, so their monomials are disjoint
+        terms = {}
         for p in self.components.values():
-            F = F + p.poly
-        return F
+            terms.update(p.poly.terms)
+        return Polynomial(self.model.ring, terms, normalise=False)
 
     def is_zero(self):
         return not self.components
@@ -363,15 +365,13 @@ def poisson_from_symplectic(alg, omega):
     on even observables, the classical normalization)."""
     if omega.space != alg.space:
         raise InputError("pairing is not defined on the structure space")
-    from fractions import Fraction
     model = CotangentModel(alg.space, omega.shift + 1)
-    inv = omega.inverse()
-    F = model.ring.zero()
-    for (x, y), w in inv.items():
+    ring = model.ring
+    fiber = {x: ring.gen_index(p) for x, p in model.fibers.items()}
+    terms = {}
+    for (x, y), w in omega.inverse().items():
         s = 1 if alg.space.degree(x) % 2 else -1
-        px, py = model.fibers[x], model.fibers[y]
-        term = (model.ring.generator(px) * model.ring.generator(py)).scale(
-            w * s)
-        F = F + term
-    F = F.scale(Fraction(1, 2))
+        terms[(fiber[x], fiber[y])] = Fraction(w * s, 2)
+    # normalising sorts each word p_x p_y and merges it with p_y p_x
+    F = Polynomial(ring, terms)
     return HomotopyPoissonStructure(model, {2: PolyvectorField(model, F)})

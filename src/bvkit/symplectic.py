@@ -24,15 +24,14 @@ shift parity (a regression-tested convention).
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import factorial
 
 from .errors import InputError, StructureError
 from .formal import Polynomial, PolynomialRing, form_to_polynomial
-from .graded import koszul_sign, norm_scalar
+from .graded import norm_scalar
 from .linalg import invert, kernel_vector
-from .linfty import LInftyStructure, vf_to_brackets
+from .linfty import vf_to_brackets
 
 
 class ShiftedSymplecticStructure:
@@ -63,6 +62,17 @@ class ShiftedSymplecticStructure:
 
     def pairing(self, x, y):
         return self.entries.get((x, y), 0)
+
+    def partners(self):
+        """{x: [(y, omega(x, y)), ...]} over the stored entries whose y is a
+        basis label, each list in the order of space.labels."""
+        position = {l: i for i, l in enumerate(self.space.labels)}
+        rows = {}
+        for (x, y), c in self.entries.items():
+            if y in position:
+                rows.setdefault(x, []).append((position[y], y, c))
+        return {x: [(y, c) for _, y, c in sorted(row)]
+                for x, row in rows.items()}
 
     def degree_violations(self):
         sp = self.space
@@ -150,13 +160,12 @@ def theta_form(alg, omega, n):
     flags occur).
     """
     m = alg.bracket(n)
+    partners = omega.partners()
     form = {}
     for key, o, c in m.entries():
-        for lab in alg.space.labels:
-            w = omega.pairing(o, lab)
-            if w:
-                k = key + (lab,)
-                form[k] = form.get(k, 0) + c * w
+        for lab, w in partners.get(o, ()):
+            k = key + (lab,)
+            form[k] = form.get(k, 0) + c * w
     return {k: v for k, v in form.items() if v != 0}
 
 
@@ -227,6 +236,10 @@ def graded_poisson(f, g, tensor):
     left derivative on the first argument, right derivative on the second,
     the g-factor multiplied FIRST, no extra signs.
 
+    Each argument is differentiated once, into its derivative table (all
+    first derivatives from one pass over its terms), and the two tables are
+    contracted entry by entry of the tensor into one result.
+
     At shift n this is a graded Lie bracket of degree -n: with the
     parity-dependent transpose rule of the pairing it satisfies
     {f, g} = -(-1)^((|f|+n)(|g|+n)) {g, f} and the matching graded Jacobi
@@ -237,15 +250,54 @@ def graded_poisson(f, g, tensor):
     Jacobi at odd parities.
     """
     ring = f.ring
-    out = ring.zero()
+    canonical = ring.canonical
+    dfs = f._derivative_table()
+    dgs = g._derivative_table(right=True)
+    out = {}
     for (i, c), b in tensor.items():
-        df = f.left_derivative(i)
-        if df.is_zero():
+        df = dfs.get(i)
+        dg = dgs.get(c)
+        if df is None or dg is None:
             continue
-        dg = g.right_derivative(c)
-        if dg.is_zero():
-            continue
-        out = out + (dg * df).scale(b)
+        for m_dg, c_dg in dg.items():
+            for m_df, c_df in df.items():
+                mono, sign = canonical(m_dg + m_df)
+                if mono is None:
+                    continue
+                tot = out.get(mono, 0) + sign * c_dg * c_df * b
+                if tot:
+                    out[mono] = tot
+                elif mono in out:
+                    del out[mono]
+    return Polynomial(ring, out, normalise=False)
+
+
+def hamiltonian_components(F, tensor, labels):
+    """{c: {F, xi_c}} for each label c whose component is nonzero, in the
+    order of `labels`.
+
+    The right derivative of xi_c is 1, so {F, xi_c} is the sum over tensor
+    entries (i, c) of b * dl/dxi_i(F), with no sign: a lookup into F's
+    derivative table instead of a full bracket per coordinate.
+    """
+    ring = F.ring
+    dF = F._derivative_table()
+    by_column = {}
+    for (i, c), b in tensor.items():
+        if i in dF:
+            by_column.setdefault(c, []).append((dF[i], b))
+    out = {}
+    for lab in labels:
+        terms = {}
+        for df, b in by_column.get(ring.gen_index(lab), ()):
+            for mono, v in df.items():
+                tot = terms.get(mono, 0) + v * b
+                if tot:
+                    terms[mono] = tot
+                elif mono in terms:
+                    del terms[mono]
+        if terms:
+            out[lab] = Polynomial(ring, terms, normalise=False)
     return out
 
 
@@ -323,12 +375,9 @@ def hamiltonian_vf(action, omega):
     action_from_brackets."""
     if action.space != omega.space:
         raise InputError("action and pairing live on different spaces")
-    ring = action.ring
-    tensor = poisson_tensor(omega, ring)
-    S = action.polynomial
-    comps = {}
-    for c in action.space.labels:
-        comps[c] = graded_poisson(S, ring.generator(c), tensor)
+    tensor = poisson_tensor(omega, action.ring)
+    comps = hamiltonian_components(action.polynomial, tensor,
+                                   action.space.labels)
     return vf_to_brackets(action.space, comps)
 
 

@@ -93,6 +93,9 @@ def connection_tensor(model, alg, derivation=None, dz_twist=None):
             f"{sorted(model.derivations)}")
     if dz_twist is not None and not isinstance(dz_twist, str):
         raise InputError(f"dz_twist {dz_twist!r} is not a label string")
+    if dz_twist is not None and "z0w0dz" not in model.space:
+        raise InputError(f"dz_twist needs the form z0w0dz, which "
+                         f"{model.name or 'the model'} does not have")
     t = tensor_linfty(model, alg)
     if derivation is None and dz_twist is None:
         return t

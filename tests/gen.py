@@ -8,6 +8,7 @@ the CME-equivalence and boundary property suites need.
 import itertools
 import random
 
+from bvkit.formal import Polynomial
 from bvkit.graded import GradedVectorSpace, MultilinearMap, SYM_GRADED, koszul_sign
 from bvkit.linfty import LInftyStructure
 from bvkit.symplectic import ShiftedSymplecticStructure
@@ -124,6 +125,23 @@ def random_invariant_structure(rng, max_dim=6, max_arity=3, shift=None):
         if form:
             thetas[n] = form
     return brackets_from_theta(space, omega, thetas), omega
+
+
+def random_homogeneous_polynomial(ring, rng, max_arity=3, tries=8):
+    """A polynomial whose monomials share one arity and one cohomological
+    degree.  Generators are drawn with replacement, so even generators
+    repeat and repeated odd ones kill their monomial."""
+    k = rng.randint(1, max_arity)
+    terms = {}
+    degree = None
+    for _ in range(tries):
+        mono = tuple(rng.randrange(len(ring.names)) for _ in range(k))
+        d = ring.monomial_degree(mono)
+        if degree is None:
+            degree = d
+        if d == degree:
+            terms[mono] = terms.get(mono, 0) + rng.choice((-2, -1, 1, 3))
+    return Polynomial(ring, terms)
 
 
 def seeded(seed):

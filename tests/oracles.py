@@ -1,4 +1,5 @@
-"""Independent oracle for boundary Poisson structures of quadratic actions.
+"""Independent oracles: boundary Poisson structures of quadratic actions, and
+the Poisson bracket of functions one tensor entry at a time (at the end).
 
 For a splitting l = l_+ (+) l_- of an ambient structure with at most binary
 brackets, the boundary bivector must reproduce the current-algebra formula
@@ -95,3 +96,42 @@ def current_algebra_mismatches(alg, omega, plus, minus, pbar):
             if got != terms:
                 bad.append((p, q, dict(got), terms))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# The Poisson bracket one tensor entry at a time, differentiating one
+# generator at a time: the independent route for the derivative-table kernel
+# of bvkit.symplectic.
+
+
+def _derivative(poly, j, crossed):
+    """d/dxi_j, monomial by monomial; `crossed(mono, p)` is the part of the
+    monomial an odd xi_j at position p moves past."""
+    ring = poly.ring
+    out = {}
+    for mono, c in poly.terms.items():
+        for p, idx in enumerate(mono):
+            if idx != j:
+                continue
+            odd = sum(ring.parity[q] for q in crossed(mono, p))
+            sign = -1 if ring.parity[j] and odd % 2 else 1
+            rest = mono[:p] + mono[p + 1:]
+            out[rest] = out.get(rest, 0) + sign * c
+    return Polynomial(ring, out)
+
+
+def left_derivative(poly, j):
+    return _derivative(poly, j, lambda mono, p: mono[:p])
+
+
+def right_derivative(poly, j):
+    return _derivative(poly, j, lambda mono, p: mono[p + 1:])
+
+
+def graded_poisson(f, g, tensor):
+    """sum over tensor entries (i, c) of b * dr/dxi_c(g) * dl/dxi_i(f), the
+    g-factor multiplied first, one entry at a time."""
+    out = f.ring.zero()
+    for (i, c), b in tensor.items():
+        out = out + (right_derivative(g, c) * left_derivative(f, i)).scale(b)
+    return out

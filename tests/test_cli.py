@@ -1,4 +1,6 @@
 """CLI: exit codes, report shape, determinism, command pipelines."""
+import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -6,12 +8,16 @@ import pytest
 from click.testing import CliRunner
 
 import bvkit.boundary
+import bvkit.centre
 import bvkit.polyvectors
 from bvkit.cdga import laurent_dolbeault_model
 from bvkit.cli import main
-from bvkit.examples import get_example, sl2_structure, sl2_trace, wzw_splitting
+from bvkit.examples import (_poisson_entries, get_example, sl2_structure,
+                            sl2_trace, wzw_splitting)
+from bvkit.formal import Polynomial
+from bvkit.polyvectors import poisson_from_symplectic
 from bvkit.theoryfile import (TheoryFile, canonical_bracket_entries,
-                              canonical_pairing_entries, serialize)
+                              canonical_pairing_entries, realize, serialize)
 
 
 def run(*args, **kw):
@@ -126,10 +132,16 @@ def _list_dz_twist(doc):
     doc["model"]["dz_twist"] = ["e"]
 
 
+def _dz_twist_without_dz(doc):
+    del doc["splitting"]
+    doc["model"]["dz_twist"] = "e"
+
+
 @pytest.mark.parametrize("mutate", [
     _drop_symplectic_shift, _poisson_without_shift, _word_bracket_arity,
     _word_flag_arity, _word_poisson_arity, _short_pairing_entry,
-    _unknown_flag_label, _unknown_model_derivation, _list_dz_twist])
+    _unknown_flag_label, _unknown_model_derivation, _list_dz_twist,
+    _dz_twist_without_dz])
 @pytest.mark.parametrize("command", ["check", "boundary"])
 def test_malformed_file_exit_2(command, mutate):
     doc = _chern_simons_doc()
@@ -230,6 +242,93 @@ def test_centre_computes_poisson_residual_once(monkeypatch):
               input=serialize(get_example("poisson-sigma")))
     assert res.exit_code == 0, res.output
     assert len(reports) == 1
+
+
+def gl3_torus_text():
+    """torus (x) gl_3 with the trace pairing and the Poisson section
+    Pi_omega of its AKSZ pairing."""
+    label = {(i, j): f"E{i}{j}" for i in range(3) for j in range(3)}
+    basis = sorted(label)
+    brackets = []
+    for a, b in itertools.combinations(basis, 2):
+        (i, j), (k, l) = a, b
+        # [E_ij, E_kl] = d_jk E_il - d_li E_kj
+        row = {}
+        if j == k:
+            row[(i, l)] = 1
+        if l == i:
+            row[(k, j)] = -1
+        brackets += [((label[a], label[b]), label[o], c)
+                     for o, c in row.items()]
+    pairing = [(label[a], label[a[::-1]], 1) for a in basis if a <= a[::-1]]
+    tf = TheoryFile("gl3-torus", "", {0: tuple(label[a] for a in basis)},
+                    {2: brackets}, symplectic=(2, pairing),
+                    model={"kind": "torus"})
+    th = realize(tf)
+    pbar = poisson_from_symplectic(th.algebra, th.omega)
+    tf.poisson = (pbar.shift, _poisson_entries(pbar))
+    return serialize(tf)
+
+
+def test_centre_brackets_through_one_derivative_table(monkeypatch):
+    """`centre` builds the Hamiltonian field of F = F_Q + Pi-bar from one
+    table of F's derivatives and never differentiates generator by
+    generator."""
+    left = _count_calls(monkeypatch, Polynomial, "left_derivative")
+    tables = []
+    table = Polynomial._derivative_table
+
+    def recorded(poly, right=False):
+        tables.append(poly)
+        return table(poly, right)
+    monkeypatch.setattr(Polynomial, "_derivative_table", recorded)
+    fields = []
+    components = bvkit.centre.hamiltonian_components
+
+    def recorded_field(F, tensor, labels):
+        fields.append(F)
+        return components(F, tensor, labels)
+    monkeypatch.setattr(bvkit.centre, "hamiltonian_components",
+                        recorded_field)
+    res = run("centre", "-i", "-", input=gl3_torus_text())
+    assert res.exit_code == 0, res.output
+    assert left == []
+    assert len(fields) == 1
+    assert sum(1 for poly in tables if poly is fields[0]) == 1
+
+
+def _report_sha(res):
+    doc = json.loads(res.output)
+    del doc["timing_ms"]
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+# sha256 of each report without its timing, recorded before the Poisson
+# kernel contracted derivative tables
+PINNED_REPORTS = {
+    ("gl3-torus", "bulk"):
+        "89a2549bd32cffb8bb6cee7dd3f03e2b8fca9e24a584445358b4e8c1b95791e9",
+    ("gl3-torus", "centre"):
+        "a7417ffa355dabd6289378017d0884651a2e76d6abf271cf2c55f5a38a27eb84",
+    ("gl3-torus", "roundtrip"):
+        "4ef8b1269b069c4cbe8de22ed5f51117182974d0ef8217b4417cec21a0f8451a",
+    ("poisson-sigma", "bulk"):
+        "8332b1cf3f47283e84e91d9431de7f655fc29455979de5fbf1241881f02d0fff",
+    ("poisson-sigma", "centre"):
+        "9dd4615c056a24695fdd3bc3d202f7f8e0cb32500e2e4596d69fb5ab60679eeb",
+    ("poisson-sigma", "roundtrip"):
+        "49f9a126a6019537a4b87b283295d1055e128b4fc373d00d6b2a5099e367c119",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(PINNED_REPORTS))
+def test_centre_reports_pinned(name, command):
+    text = gl3_torus_text() if name == "gl3-torus" else \
+        serialize(get_example(name))
+    res = run(command, "-i", "-", input=text)
+    assert res.exit_code == 0, res.output
+    assert _report_sha(res) == PINNED_REPORTS[(name, command)]
 
 
 def test_boundary_failing_splitting_exit_1():

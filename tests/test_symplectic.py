@@ -5,14 +5,18 @@ from fractions import Fraction
 import pytest
 
 from bvkit.errors import InputError, StructureError
+from bvkit.formal import PolynomialRing
 from bvkit.graded import GradedVectorSpace
 from bvkit.linfty import LInftyStructure, abelian, check_relations
 from bvkit.symplectic import (ActionFunctional, ShiftedSymplecticStructure,
                               TruncatedObservable, action_from_brackets,
-                              check_symplectic, cme_residual, hamiltonian_vf,
-                              poisson_bracket, poisson_tensor)
+                              check_symplectic, cme_residual,
+                              graded_poisson, hamiltonian_components,
+                              hamiltonian_vf, poisson_bracket, poisson_tensor)
 
-from gen import random_invariant_structure, seeded
+import oracles
+from gen import (random_homogeneous_polynomial, random_invariant_structure,
+                 random_paired_space, seeded)
 
 
 def sl2():
@@ -291,3 +295,34 @@ def test_observable_truncation_flags():
     assert all(len(m) <= 2 for m in p.poly.terms)
     # bracketing flagged observables keeps the flag
     assert poisson_bracket(p, f, om).flagged
+
+
+def test_poisson_kernel_matches_per_entry_oracle():
+    """The derivative-table kernel against the bracket taken one tensor
+    entry and one generator at a time, exactly, at shifts -1..3; the
+    Hamiltonian components of F against {F, xi_c} for every c."""
+    rng = seeded(23)
+    seen = {"odd": 0, "repeated_even": 0, "nonzero": 0}
+    for shift in range(-1, 4):
+        for _ in range(12):
+            space, om = random_paired_space(rng, shift)
+            R = PolynomialRing.functions_on(space)
+            tensor = poisson_tensor(om, R)
+            f, g = (random_homogeneous_polynomial(R, rng) for _ in range(2))
+            for mono in f.terms:
+                seen["odd"] += any(R.parity[i] for i in mono)
+                seen["repeated_even"] += any(
+                    a == b and not R.parity[a] for a, b in zip(mono, mono[1:]))
+            for j in range(len(R.names)):
+                assert f.left_derivative(j) == oracles.left_derivative(f, j)
+                assert f.right_derivative(j) == oracles.right_derivative(f, j)
+            got = graded_poisson(f, g, tensor)
+            assert got == oracles.graded_poisson(f, g, tensor)
+            assert graded_poisson(f, f, tensor) == \
+                oracles.graded_poisson(f, f, tensor)
+            seen["nonzero"] += not got.is_zero()
+            comps = hamiltonian_components(f, tensor, space.labels)
+            for c in space.labels:
+                assert comps.get(c, R.zero()) == \
+                    graded_poisson(f, R.generator(c), tensor)
+    assert min(seen.values()) > 0, seen
