@@ -16,7 +16,12 @@ tensor_linfty(A, g) carries an L-infinity structure on A (x) g:
 l_1 = d (x) 1 + 1 (x) l_1 (with the sign (-1)^|a| on the second term) and
 l_n(a_1 (x) x_1, ..) = sign * (a_1..a_n) (x) l_n(x_1..x_n), the sign being
 tensor_bracket_sign (Koszul for the interleaving plus one (-1)^|a_i| per
-coefficient, since every bracket is odd in shifted degrees).
+coefficient, since every bracket is odd in shifted degrees).  The A-products
+come from one table per arity of the A-tuples whose product is nonzero or
+flagged, each product computed once by extending a shorter tuple; a tuple is
+flagged as soon as a left-to-right partial product leaves the window.  A
+flagged coefficient key of g flags every tensor tuple over a nonzero or
+flagged A-product.
 
 aksz_symplectic pairs a (x) x with b (x) y through
 (-1)^(|b|(|x|-1)) I(ab) eta(x, y): a shift-(n-d) structure when eta has
@@ -401,13 +406,48 @@ def tensor_space(model, space):
     return GradedVectorSpace(comps)
 
 
+def _a_products(model, max_n):
+    """{n: [(A-tuple, degrees, product, flagged)]} for n = 0..max_n: every
+    length-n tuple of model labels whose left-to-right product is nonzero or
+    window-flagged, in lexicographic label order.
+
+    Each list extends the one before by one label, so every product costs one
+    `model.product` call.  A flagged prefix flags all its extensions (their
+    product is never read); a zero, unflagged prefix has only zero, unflagged
+    extensions and is dropped."""
+    labels = model.space.labels
+    deg = {a: model.degree(a) for a in labels}
+    rows = [((), (), model.one(), False)]
+    tables = {0: rows}
+    for n in range(1, max_n + 1):
+        ext = []
+        for akey, degs, prod, fl in rows:
+            for a in labels:
+                if fl:
+                    ext.append((akey + (a,), degs + (deg[a],), {}, True))
+                    continue
+                p, f = model.product(prod, {a: 1})
+                if p or f:
+                    ext.append((akey + (a,), degs + (deg[a],), p, f))
+        tables[n] = rows = ext
+    return tables
+
+
 def tensor_linfty(model, alg):
     """The L-infinity structure on A (x) g (module docstring formula).
 
-    Bracket tuples whose coefficient product leaves A's window are flagged
-    on the result, as are l_1 inputs with flagged differential."""
+    l_n for n >= 2 walks, per stored or flagged g key, the table of A-tuples
+    with a nonzero or flagged product (`_a_products`), so zero products are
+    never visited.  A tuple is flagged when its left-to-right product
+    leaves A's window at any step, even if the full product would land back
+    inside it.  Flags of g propagate: a flagged g key flags every tensor
+    tuple over a nonzero or flagged A-product, and a flagged (x,) of l_1
+    flags (a|x,) for every a.  l_1 inputs with a flagged differential are
+    flagged as well."""
     g = alg.space
     tsp = tensor_space(model, g)
+    tlab = {x: {a: tensor_label(a, x) for a in model.space.labels}
+            for x in g.labels}
     brackets = {}
 
     # l_1 = d (x) 1 + (-1)^|a| 1 (x) l_1
@@ -419,7 +459,7 @@ def tensor_linfty(model, alg):
         for x in g.labels:
             key = (tensor_label(a, x),)
             row = l1_coeffs.setdefault(key, {})
-            if fl:
+            if fl or (b1 is not None and (x,) in b1.flags):
                 l1_flags.add(key)
             for b, c in da.items():
                 o = tensor_label(b, x)
@@ -437,38 +477,43 @@ def tensor_linfty(model, alg):
         brackets[1] = MultilinearMap((tsp,), tsp, 1, l1_coeffs, SYM_GRADED,
                                      1, l1_flags)
 
+    tables = _a_products(model, max(alg.brackets, default=0))
     for n, m in alg.brackets.items():
         if n == 1:
             continue
+        table = tables[n]
         coeffs = {}
         nflags = set()
+        for gkey in m.flags:
+            cols = [tlab[x] for x in gkey]
+            for akey, _, _, _ in table:
+                nflags.add(tuple(map(dict.__getitem__, cols, akey)))
         for gkey, row in m.coefficients.items():
+            if gkey in m.flags:
+                continue
+            cols = [tlab[x] for x in gkey]
             xdegs = [g.degree(x) - 1 for x in gkey]
-            for akey in itertools.product(model.space.labels, repeat=n):
-                prod = model.one()
-                fl = False
-                for a in akey:
-                    prod, f = model.product(prod, {a: 1})
-                    fl = fl or f
-                tkey = tuple(tensor_label(a, x) for a, x in zip(akey, gkey))
+            out = [(tlab[y], cy) for y, cy in row.items()]
+            signs = {}
+            for akey, degs, prod, fl in table:
+                tkey = tuple(map(dict.__getitem__, cols, akey))
                 if fl:
                     nflags.add(tkey)
                     continue
-                if not prod:
-                    continue
-                s = tensor_bracket_sign(
-                    [model.degree(a) for a in akey], xdegs)
-                trow = coeffs.setdefault(tkey, {})
+                s = signs.get(degs)
+                if s is None:
+                    s = signs[degs] = tensor_bracket_sign(degs, xdegs)
+                trow = {}
                 for b, cb in prod.items():
-                    for y, cy in row.items():
-                        o = tensor_label(b, y)
+                    for col, cy in out:
+                        o = col[b]
                         v = trow.get(o, 0) + s * cb * cy
                         if v:
                             trow[o] = v
                         elif o in trow:
                             del trow[o]
-        coeffs = {k: row for k, row in coeffs.items()
-                  if row and k not in nflags}
+                if trow:
+                    coeffs[tkey] = trow
         if coeffs or nflags:
             brackets[n] = MultilinearMap((tsp,) * n, tsp, 2 - n, coeffs,
                                          SYM_GRADED, 1, nflags)

@@ -70,10 +70,14 @@ def relations_witnesses(rep):
 
 
 def symplectic_witnesses(rep):
+    # a block paired with one of another dimension has no kernel vector
+    nondegeneracy = [(d, "paired block has a different dimension")
+                     if vec is None else (d, vec)
+                     for d, vec in rep.nondegeneracy_witnesses]
     ws = []
     for name, items in (("degree", rep.degree_violations),
                         ("symmetry", rep.symmetry_violations),
-                        ("nondegeneracy", rep.nondegeneracy_witnesses),
+                        ("nondegeneracy", nondegeneracy),
                         ("invariance", rep.invariance_violations)):
         for w in _clip(items):
             ws.append([name, w] if isinstance(w, str) else [name] + [w])

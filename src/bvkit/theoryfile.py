@@ -27,6 +27,10 @@ from .polyvectors import (CotangentModel, HomotopyPoissonStructure,
 from .symplectic import ShiftedSymplecticStructure
 
 SCHEMA = 1
+# the Laurent window radius N gives a model of dimension 16 N^2, and every
+# tensor built on it grows with a power of that; larger windows are refused
+# before anything is built
+MAX_LAURENT_WINDOW = 8
 
 
 def scalar_str(c):
@@ -72,8 +76,13 @@ def _build_model(recipe):
     if kind == "torus":
         return torus_model()
     if kind == "laurent":
-        return laurent_dolbeault_model(_int(recipe.get("window", 2),
-                                            "model.window"))
+        window = _int(recipe.get("window", 2), "model.window")
+        if window > MAX_LAURENT_WINDOW:
+            raise InputError(
+                f"model.window {window} is above the cap "
+                f"{MAX_LAURENT_WINDOW} (model dimension "
+                f"{16 * MAX_LAURENT_WINDOW ** 2})")
+        return laurent_dolbeault_model(window)
     raise InputError(f"unknown model kind {kind!r}")
 
 
@@ -285,10 +294,22 @@ def _require(cond, msg):
 
 
 def _int(value, where):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{where}: {value!r} is not an integer") from None
+    """An int (not a bool) or an integer string such as "-2"; anything else,
+    2.5 or "2.5" included, is refused rather than truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{where}: {value!r} is not an integer")
+
+
+def _arity(value, where):
+    n = _int(value, where)
+    _require(n >= 1, f"{where}: {n} is below 1")
+    return n
 
 
 def _obj(value, where):
@@ -344,12 +365,12 @@ def parse(text):
                      f"brackets[{n}]: unknown label {out!r}")
             rows.append((_labels(key, f"brackets[{n}]", known), out,
                          parse_scalar(c, f"brackets[{n}]")))
-        brackets[_int(n, "brackets: arity")] = rows
+        brackets[_arity(n, "brackets: arity")] = rows
     flags = {}
     for n, keys in _obj(doc.get("flags") or {}, "'flags'").items():
         _require(isinstance(keys, list), f"flags[{n}]: expected a list")
-        flags[_int(n, "flags: arity")] = [_labels(k, f"flags[{n}]", known)
-                                          for k in keys]
+        flags[_arity(n, "flags: arity")] = [
+            _labels(k, f"flags[{n}]", known) for k in keys]
     symplectic = None
     if "symplectic" in doc:
         sec, shift = _shifted(doc, "symplectic")

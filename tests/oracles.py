@@ -1,5 +1,6 @@
-"""Independent oracles: boundary Poisson structures of quadratic actions, and
-the Poisson bracket of functions one tensor entry at a time (at the end).
+"""Independent oracles: boundary Poisson structures of quadratic actions, the
+Poisson bracket of functions one tensor entry at a time, and the tensor
+brackets of A (x) g over every A-tuple (the last two at the end).
 
 For a splitting l = l_+ (+) l_- of an ambient structure with at most binary
 brackets, the boundary bivector must reproduce the current-algebra formula
@@ -15,9 +16,12 @@ currents.  The two Koszul signs are fixed conventions of the polynomial
 encoding, pinned here after verifying the unsigned support on four model
 families; they cannot repair a wrong structure constant.
 """
+import itertools
 from fractions import Fraction
 
+from bvkit.cdga import tensor_label
 from bvkit.formal import Polynomial
+from bvkit.linfty import tensor_bracket_sign
 
 
 def _by_conjugate(terms, fiber_index):
@@ -134,4 +138,51 @@ def graded_poisson(f, g, tensor):
     out = f.ring.zero()
     for (i, c), b in tensor.items():
         out = out + (right_derivative(g, c) * left_derivative(f, i)).scale(b)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The tensor brackets over every A-tuple, each product recomputed left to
+# right: the independent route for the prefix table of bvkit.cdga.
+
+
+def dense_tensor_brackets(model, alg):
+    """{n: (coefficients, flags)} of l_n on A (x) g for n >= 2, looping over
+    every stored g key and every n-tuple of model labels."""
+    g = alg.space
+    out = {}
+    for n, m in alg.brackets.items():
+        if n == 1:
+            continue
+        coeffs = {}
+        nflags = set()
+        for gkey, row in m.coefficients.items():
+            xdegs = [g.degree(x) - 1 for x in gkey]
+            for akey in itertools.product(model.space.labels, repeat=n):
+                prod = model.one()
+                fl = False
+                for a in akey:
+                    prod, f = model.product(prod, {a: 1})
+                    fl = fl or f
+                tkey = tuple(tensor_label(a, x) for a, x in zip(akey, gkey))
+                if fl:
+                    nflags.add(tkey)
+                    continue
+                if not prod:
+                    continue
+                s = tensor_bracket_sign(
+                    [model.degree(a) for a in akey], xdegs)
+                trow = coeffs.setdefault(tkey, {})
+                for b, cb in prod.items():
+                    for y, cy in row.items():
+                        o = tensor_label(b, y)
+                        v = trow.get(o, 0) + s * cb * cy
+                        if v:
+                            trow[o] = v
+                        elif o in trow:
+                            del trow[o]
+        coeffs = {k: row for k, row in coeffs.items()
+                  if row and k not in nflags}
+        if coeffs or nflags:
+            out[n] = (coeffs, nflags)
     return out

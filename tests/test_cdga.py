@@ -1,5 +1,6 @@
 """Builtin cdga models, tensor L-infinity structures, AKSZ pairings."""
 import hashlib
+import json
 
 import pytest
 
@@ -8,11 +9,14 @@ from bvkit.cdga import (CdgaModel, aksz_symplectic, cdga_from_products,
                         point_model, split_label, tensor_label, tensor_linfty,
                         tensor_space, torus_model)
 from bvkit.errors import InputError
+from bvkit.examples import get_example
 from bvkit.graded import GradedVectorSpace, MultilinearMap
 from bvkit.linfty import (LInftyStructure, check_relations, strict_map_check)
 from bvkit.symplectic import ShiftedSymplecticStructure, check_symplectic
+from bvkit.theoryfile import parse, realize, serialize
 
 from gen import random_invariant_structure, seeded
+from oracles import dense_tensor_brackets
 
 
 def sl2():
@@ -244,3 +248,118 @@ def test_tensor_functorial_in_strict_maps():
 
 def test_split_label_roundtrip():
     assert split_label(tensor_label("z-1w-1dzdw", "e")) == ("z-1w-1dzdw", "e")
+
+
+def cubic(*keys):
+    """x, u in degree 1 (even in shifted degree) and y in degree 2, with
+    l_3(key) = y for each given key."""
+    V = GradedVectorSpace({1: ["x", "u"], 2: ["y"]})
+    return LInftyStructure.from_entries(V, {3: [(k, "y", 1) for k in keys]})
+
+
+def assert_matches_dense_oracle(model, alg):
+    """Coefficients, the order of keys and rows, and flags all equal the
+    reference loop over every A-tuple."""
+    t = tensor_linfty(model, alg)
+    want = dense_tensor_brackets(model, alg)
+    assert sorted(n for n in t.brackets if n != 1) == sorted(want)
+    for n, (coeffs, flags) in want.items():
+        got = t.brackets[n]
+        assert got.coefficients == coeffs, (model.name, n)
+        assert list(got.coefficients) == list(coeffs), (model.name, n)
+        for key, row in coeffs.items():
+            assert list(got.coefficients[key].items()) == list(row.items())
+        assert got.flags == flags, (model.name, n)
+
+
+@pytest.mark.parametrize("model", [point_model(), interval_model(),
+                                   torus_model(), laurent_dolbeault_model(2)],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("alg", [sl2, broken_sl2], ids=["sl2", "broken"])
+def test_tensor_matches_dense_oracle(model, alg):
+    assert_matches_dense_oracle(model, alg())
+
+
+def test_tensor_matches_dense_oracle_random_arity3():
+    rng = seeded(47)
+    models = (point_model(), interval_model(), torus_model())
+    done = 0
+    while done < 8:
+        alg, _ = random_invariant_structure(rng, max_dim=4)
+        if 3 not in alg.brackets:
+            continue
+        done += 1
+        for m in models:
+            assert_matches_dense_oracle(m, alg)
+
+
+def test_tensor_laurent_arity3_left_to_right_flags():
+    """z^1 z^1 leaves window 2 although z^1 z^1 z^-2 = z^0 does not: the
+    tuple stays flagged, because the product is taken left to right."""
+    m = laurent_dolbeault_model(2)
+    alg = cubic(("x", "x", "x"))
+    assert_matches_dense_oracle(m, alg)
+    b3 = tensor_linfty(m, alg).brackets[3]
+    key = ("z1w0|x", "z1w0|x", "z-2w0|x")
+    assert key in b3.flags and key not in b3.coefficients
+    # in the other order every partial product stays inside the window
+    inside = ("z-2w0|x", "z1w0|x", "z1w0|x")
+    assert inside not in b3.flags
+    assert b3.coefficients[inside] == {"z0w0|y": 1}
+
+
+def test_tensor_products_once_per_a_tuple(monkeypatch):
+    """A second arity-3 generator adds g keys but no A-products: the table
+    of A-products is built once per arity.  The loop over every A-tuple of
+    each g key made 192 product calls per g key here, 192 with one
+    generator and 768 with two; the table makes 56 with either."""
+    calls = []
+    product = CdgaModel.product
+
+    def counted(self, u, v):
+        calls.append(1)
+        return product(self, u, v)
+    monkeypatch.setattr(CdgaModel, "product", counted)
+    m = torus_model()
+    one = cubic(("x", "x", "x"))
+    two = cubic(("x", "x", "x"), ("x", "x", "u"))
+    assert len(two.brackets[3].coefficients) > len(one.brackets[3].coefficients)
+    counts = []
+    for alg in (one, two):
+        calls.clear()
+        tensor_linfty(m, alg)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_tensor_propagates_coefficient_flags():
+    """A flag on a g key flags every tensor tuple over a nonzero A-product
+    and leaves the zero ones zero; a flagged (x,) of l_1 flags (a|x,) for
+    every a."""
+    V = GradedVectorSpace({0: ["e", "f", "h"]})
+    g = LInftyStructure.from_entries(
+        V, {2: [(("e", "h"), "e", -2), (("f", "h"), "f", 2)]},
+        flags={2: [("e", "f")], 1: [("h",)]})
+    m = torus_model()
+    t = tensor_linfty(m, g)
+    b2 = t.brackets[2]
+    nonzero = [(a, b) for a in m.space.labels for b in m.space.labels
+               if m.product({a: 1}, {b: 1})[0]]
+    want = {(tensor_label(a, x), tensor_label(b, y))
+            for a, b in nonzero for x, y in (("e", "f"), ("f", "e"))}
+    assert b2.flags == want
+    assert ("a|e", "a|f") not in b2.flags
+    assert ("a|e", "a|f") not in b2.coefficients
+    assert ("1|e", "1|h") in b2.coefficients
+    assert t.brackets[1].flags == {(tensor_label(a, "h"),)
+                                   for a in m.space.labels}
+    assert check_relations(t).indeterminate
+
+
+def test_realized_flags_survive_the_model_recipe():
+    doc = json.loads(serialize(get_example("chern-simons")))
+    doc["flags"] = {"2": [["e", "f"]]}
+    th = realize(parse(json.dumps(doc)))
+    assert len(th.algebra.brackets[2].flags) == 18   # 9 nonzero A-products
+    rep = check_relations(th.algebra)
+    assert rep.passed and rep.indeterminate

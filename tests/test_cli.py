@@ -10,6 +10,7 @@ from click.testing import CliRunner
 import bvkit.boundary
 import bvkit.centre
 import bvkit.polyvectors
+import bvkit.theoryfile
 from bvkit.cdga import laurent_dolbeault_model
 from bvkit.cli import main
 from bvkit.examples import (_poisson_entries, get_example, sl2_structure,
@@ -137,11 +138,24 @@ def _dz_twist_without_dz(doc):
     doc["model"]["dz_twist"] = "e"
 
 
+def _fractional_shift(doc):
+    doc["symplectic"]["shift"] = 2.5
+
+
+def _boolean_shift(doc):
+    doc["symplectic"]["shift"] = True
+
+
+def _zero_bracket_arity(doc):
+    doc["brackets"]["0"] = [[[], "e", "1"]]
+
+
 @pytest.mark.parametrize("mutate", [
     _drop_symplectic_shift, _poisson_without_shift, _word_bracket_arity,
     _word_flag_arity, _word_poisson_arity, _short_pairing_entry,
     _unknown_flag_label, _unknown_model_derivation, _list_dz_twist,
-    _dz_twist_without_dz])
+    _dz_twist_without_dz, _fractional_shift, _boolean_shift,
+    _zero_bracket_arity])
 @pytest.mark.parametrize("command", ["check", "boundary"])
 def test_malformed_file_exit_2(command, mutate):
     doc = _chern_simons_doc()
@@ -150,6 +164,40 @@ def test_malformed_file_exit_2(command, mutate):
     assert res.exit_code == 2, (res.output, res.exception)
     assert res.stderr.startswith("error: ")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("window", [2.5, 9, 100000, "12"])
+def test_laurent_window_refused_exit_2(monkeypatch, window):
+    """A fractional window is refused, not truncated, and a window above the
+    cap of 8 is refused before any model is built."""
+    def never(n):
+        raise AssertionError(f"built a window-{n} model")
+    monkeypatch.setattr(bvkit.theoryfile, "laurent_dolbeault_model", never)
+    doc = json.loads(serialize(get_example("wzw")))
+    doc["model"]["window"] = window
+    res = run("check", "-i", "-", input=json.dumps(doc))
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert res.stderr.startswith("error: model.window")
+
+
+@pytest.mark.parametrize("table", [False, True])
+def test_mismatched_pairing_blocks_exit_1(table):
+    """chern-simons at shift 1 pairs degree d with degree 1 - d, whose
+    blocks differ in dimension: exit 1 with nondegeneracy witnesses."""
+    doc = _chern_simons_doc()
+    doc["symplectic"]["shift"] = 1
+    args = ["check", "-i", "-"] + (["--table"] if table else [])
+    res = run(*args, input=json.dumps(doc))
+    assert res.exit_code == 1, (res.output, res.exception)
+    assert "Traceback" not in res.stderr
+    witness = ["nondegeneracy",
+               ["0", "paired block has a different dimension"]]
+    if table:
+        assert f"witness: {witness}" in res.output
+    else:
+        sym = json.loads(res.output)["checks"][1]
+        assert sym["name"] == "symplectic" and not sym["passed"]
+        assert witness in sym["witnesses"]
 
 
 def test_check_broken_wzw_window_2_witnesses():

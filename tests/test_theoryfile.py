@@ -10,7 +10,7 @@ from bvkit.examples import EXAMPLES, get_example, sl2_structure, sl2_trace
 from bvkit.graded import GradedVectorSpace
 from bvkit.linfty import LInftyStructure, check_relations
 from bvkit.symplectic import check_symplectic
-from bvkit.theoryfile import (TheoryFile, canonical_bracket_entries,
+from bvkit.theoryfile import (TheoryFile, _int, canonical_bracket_entries,
                               canonical_pairing_entries, connection_tensor,
                               parse, realize, serialize)
 
@@ -152,3 +152,12 @@ def test_connection_tensor_rejects_unknown_twist_label():
     g = sl2_structure()
     with pytest.raises(InputError):
         connection_tensor(m, g, dz_twist="nope")
+
+
+def test_int_accepts_ints_and_integer_strings_only():
+    assert _int(3, "w") == 3
+    assert _int("-2", "w") == -2
+    for bad in (True, 2.5, 3.0, "2.5", "two", None, [3]):
+        with pytest.raises(InputError):
+            _int(bad, "w")
+
