@@ -52,8 +52,9 @@ class LagrangianSplitting:
         self.alg = alg
         self.omega = omega
         # keep the ambient basis order within each part
-        self.plus = tuple(l for l in alg.space.labels if l in set(plus))
-        self.minus = tuple(l for l in alg.space.labels if l in set(minus))
+        plus, minus = set(plus), set(minus)
+        self.plus = tuple(l for l in alg.space.labels if l in plus)
+        self.minus = tuple(l for l in alg.space.labels if l in minus)
         self.plus_space = _sub_space(alg.space, self.plus)
         self.minus_space = _sub_space(alg.space, self.minus)
         self.inclusion_plus = MultilinearMap(
@@ -99,16 +100,20 @@ class LagrangianSplitting:
         """M with xi_(p*) = sum_m M[p][m] xi_m under the identification Phi.
 
         Row p, column m: M[p][m] = (-1)^(deg p deg p* + n) omega(m, p), the
-        sign being omega_can(p*, p) on the shift-n cotangent model.
+        sign being omega_can(p*, p) on the shift-n cotangent model.  Sparse:
+        {p: {m: M[p][m]}} with a (possibly empty) row for every p in l_+ and
+        each row in the order of l_-.
         """
         n = self.omega.shift
         sp = self.alg.space
-        rows = []
-        for p in self.plus:
-            dp = sp.degree(p)
-            e = dp * (2 - n - dp) + n
-            t = -1 if e % 2 else 1
-            rows.append([t * self.omega.pairing(m, p) for m in self.minus])
+        rows = {p: {} for p in self.plus}
+        partners = self.omega.partners()
+        for m in self.minus:
+            for p, c in partners.get(m, ()):
+                row = rows.get(p)
+                if row is not None:
+                    dp = sp.degree(p)
+                    row[m] = -c if (dp * (2 - n - dp) + n) % 2 else c
         return rows
 
     def __repr__(self):
@@ -152,8 +157,9 @@ def check_splitting(s):
     both = set(s.plus) & set(s.minus)
     for lab in sorted(both):
         comp.append(("shared", lab))
+    either = set(s.plus) | set(s.minus)
     for lab in space.labels:
-        if lab not in set(s.plus) | set(s.minus):
+        if lab not in either:
             comp.append(("missing", lab))
     iso = []
     for part, labels in (("plus", set(s.plus)), ("minus", set(s.minus))):
@@ -165,7 +171,7 @@ def check_splitting(s):
     pairing = []
     if len(s.plus) != len(s.minus):
         pairing.append(("shape", len(s.plus), len(s.minus)))
-    elif invert(s.pairing_matrix()) is None:
+    elif invert(s.pairing_matrix(), s.minus) is None:
         pairing.append(("singular", "omega restricted to l_- x l_+"))
     s._report = SplittingReport(comp, iso, closure, pairing)
     return s._report
@@ -179,14 +185,15 @@ def suggest_complement(alg, omega, plus):
     the choice up to homotopy, so the caller must record it)."""
     space = alg.space
     plus = tuple(plus)
+    taken = set(plus)
     chosen = []
     for m in space.labels:
-        if m in set(plus) or omega.pairing(m, m) \
+        if m in taken or omega.pairing(m, m) \
                 or any(omega.pairing(m, m2) for m2 in chosen):
             continue
         trial = LagrangianSplitting(alg, omega, plus, chosen + [m])
         # keep m only if it adds an independent functional on l_+
-        if rank(trial.pairing_matrix()) == len(chosen) + 1:
+        if rank(trial.pairing_matrix(), trial.minus) == len(chosen) + 1:
             chosen.append(m)
     if len(chosen) != len(plus):
         return None
@@ -203,22 +210,22 @@ def _substitution(s, invert_direction):
     M = s.pairing_matrix()
     amb = PolynomialRing.functions_on(s.alg.space)
     if invert_direction == "to_model":
-        B = invert(M)
+        B = invert(M, s.minus)
         if B is None:
             raise StructureError("omega restricted to l_- x l_+ is singular")
         # xi_m = sum_p (M^-1)[m][p] xi_(p*)
+        position = {p: b for b, p in enumerate(s.plus)}
         gen_map = {}
-        for a, m in enumerate(s.minus):
+        for m in s.minus:
             gen_map[amb.gen_index(m)] = [
-                (s.model.ring.gen_index(s.model.fibers[p]), B[a][b])
-                for b, p in enumerate(s.plus) if B[a][b]]
+                (s.model.ring.gen_index(s.model.fibers[p]), B[m][p])
+                for p in sorted(B[m], key=position.__getitem__)]
         return amb, s.model.ring, gen_map
     # xi_(p*) = sum_m M[p][m] xi_m
     gen_map = {}
-    for b, p in enumerate(s.plus):
+    for p, row in M.items():
         gen_map[s.model.ring.gen_index(s.model.fibers[p])] = [
-            (amb.gen_index(m), M[b][a])
-            for a, m in enumerate(s.minus) if M[b][a]]
+            (amb.gen_index(m), c) for m, c in row.items()]
     return s.model.ring, amb, gen_map
 
 

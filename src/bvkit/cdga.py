@@ -279,11 +279,11 @@ def check_cdga(model):
         if len(rows) != len(cols):
             pairing.append((d, None))
             continue
-        mat = [[model.integrate(model.product({x: 1}, {y: 1})[0])
-                for x in rows] for y in cols]
-        vec = kernel_vector(mat)
+        mat = {y: {x: model.integrate(model.product({x: 1}, {y: 1})[0])
+                   for x in rows} for y in cols}
+        vec = kernel_vector(mat, rows)
         if vec is not None:
-            pairing.append((d, [(x, c) for x, c in zip(rows, vec) if c]))
+            pairing.append((d, [(x, vec[x]) for x in rows if x in vec]))
 
     return CdgaReport(comm, assoc, leib, stokes, degv, pairing, window)
 

@@ -165,17 +165,15 @@ def acyclic_check(alg):
     b1 = alg.brackets.get(1)
     coeffs = b1.coefficients if b1 else {}
 
-    def block(d):
-        rows_lab = space.component(d)
-        cols_lab = space.component(d + 1)
-        return [[coeffs.get((r,), {}).get(c, 0) for c in cols_lab]
-                for r in rows_lab]
+    def block_rank(d):
+        return rank({r: coeffs.get((r,), {}) for r in space.component(d)},
+                    space.component(d + 1))
 
     cohomology = {}
     for d in space.components:
         dim = len(space.component(d))
-        r_out = rank(block(d))
-        r_in = rank(block(d - 1))
+        r_out = block_rank(d)
+        r_in = block_rank(d - 1)
         cohomology[d] = dim - r_out - r_in
     return AcyclicityReport(cohomology)
 

@@ -1,7 +1,17 @@
-"""Exact rational dense linear algebra (Gaussian elimination).
+"""Exact rational linear algebra by sparse Gauss-Jordan elimination.
 
-Matrices are lists of rows; entries are int or Fraction.  Only used on
-per-degree blocks, which stay small.
+A matrix is a mapping {row key: {column key: scalar}} that stores only its
+nonzero entries, handed over with the ordered list of its columns; entries in
+columns not listed are ignored.  The blocks are large and nearly permutation
+matrices: on the wzw file the pairing blocks are 216 x 216 and the splitting
+inclusion is 432 x 216, and the canonical cotangent pairing is a signed
+identity.  Each row is kept as a dict of its nonzeros beside an index of the
+rows that touch each column, so a pivot eliminates only the rows that meet
+its column, and a permutation block reduces in linear time.
+
+The reduced row echelon form is unique, so every result is independent of
+which row serves as a pivot (the sparsest candidate is taken).  Scalars are
+int or Fraction throughout and results pass through norm_scalar.
 """
 from __future__ import annotations
 
@@ -10,63 +20,91 @@ from fractions import Fraction
 from .graded import norm_scalar
 
 
-def _echelon(matrix):
-    """Row-reduce a copy; returns (echelon rows, pivot column list)."""
-    rows = [list(map(Fraction, r)) for r in matrix]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
+def _indexed(rows, columns):
+    """The rows as {column position: scalar}, zeros and unlisted columns
+    dropped."""
+    pos = {c: j for j, c in enumerate(columns)}
+    return [{pos[c]: v for c, v in row.items() if v and c in pos}
+            for row in rows]
+
+
+def _reduce(rows, ncols):
+    """Gauss-Jordan on `rows` (mutated) over the column positions
+    0..ncols-1, in order.  Returns {pivot column: its row, scaled to 1
+    there}; every pivot column is zero in every other row."""
+    touching = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            touching.setdefault(c, set()).add(i)
+    open_rows = set(range(len(rows)))
+    pivots = {}
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if not open_rows:
             break
-    return rows, pivots
+        hits = touching.get(c)
+        candidates = hits & open_rows if hits else None
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        pv = prow[c]
+        if pv != 1:
+            inv = 1 / Fraction(pv)
+            for k in prow:
+                prow[k] *= inv
+        for i in list(hits):
+            if i == p:
+                continue
+            row = rows[i]
+            f = row[c]
+            for k, v in prow.items():
+                x = row.get(k, 0) - f * v
+                if x:
+                    if k not in row:
+                        touching.setdefault(k, set()).add(i)
+                    row[k] = x
+                else:
+                    del row[k]
+                    touching[k].discard(i)
+        open_rows.discard(p)
+        pivots[c] = prow
+    return pivots
 
 
-def rank(matrix):
-    if not matrix or not matrix[0]:
-        return 0
-    return len(_echelon(matrix)[1])
+def rank(matrix, columns):
+    """The rank of the matrix restricted to `columns`."""
+    return len(_reduce(_indexed(matrix.values(), columns), len(columns)))
 
 
-def kernel_vector(matrix):
-    """A nonzero kernel vector of the matrix (as a column-space map), or None."""
-    if not matrix:
+def kernel_vector(matrix, columns):
+    """A nonzero v with sum_c matrix[r][c] v[c] = 0 for every row r, as
+    {column: scalar} over its nonzero entries, or None.  v is 1 at the first
+    free column and 0 at every other free column."""
+    pivots = _reduce(_indexed(matrix.values(), columns), len(columns))
+    free = next((c for c in range(len(columns)) if c not in pivots), None)
+    if free is None:
         return None
-    ncols = len(matrix[0])
-    rows, pivots = _echelon(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    c = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[c] = Fraction(1)
-    for i, p in enumerate(pivots):
-        vec[p] = -rows[i][c]
-    return [norm_scalar(v) for v in vec]
+    vec = {columns[free]: 1}
+    for p, row in pivots.items():
+        if free in row:
+            vec[columns[p]] = norm_scalar(-row[free])
+    return vec
 
 
-def invert(matrix):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(matrix)
-    if n == 0:
-        return []
-    if any(len(r) != n for r in matrix):
+def invert(matrix, columns):
+    """The inverse {column: {row key: scalar}} of a square matrix, nonzero
+    entries only, so that sum_r inv[c][r] * matrix[r][c'] = delta_(c c');
+    None if the matrix is singular or not square."""
+    n = len(columns)
+    if len(matrix) != n:
         return None
-    aug = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, r in enumerate(matrix)]
-    rows, pivots = _echelon(aug)
-    if pivots[:n] != list(range(n)):
+    keys = list(matrix)
+    rows = _indexed(matrix.values(), columns)
+    for i, row in enumerate(rows):
+        row[n + i] = 1
+    pivots = _reduce(rows, n)
+    if len(pivots) != n:
         return None
-    return [[norm_scalar(x) for x in row[n:]] for row in rows[:n]]
+    return {columns[c]: {keys[j - n]: norm_scalar(v)
+                         for j, v in row.items() if j >= n}
+            for c, row in pivots.items()}

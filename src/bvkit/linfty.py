@@ -244,8 +244,14 @@ def check_relations(alg):
     violations = []
     hits = []
     # every maybe-tuple contains a flagged sub-tuple, so its residual is
-    # indeterminate without evaluation (flags are permutation-closed)
-    arities = {len(k) for k in maybe}
+    # indeterminate without evaluation (flags are permutation-closed); each
+    # has arity i + j - 1, so the walk stops once all of those are seen
+    reachable = len({i + j - 1 for i in alg.brackets for j in alg.brackets})
+    arities = set()
+    for key in maybe:
+        arities.add(len(key))
+        if len(arities) == reachable:
+            break
     for key in exact - maybe:
         arities.add(len(key))
         res, hit = _residual_on_tuple(alg, key)
@@ -363,6 +369,11 @@ def strict_map_check(phi, source, target, injective=False):
         raise InputError("a strict morphism is a single degree-0 linear map")
     if phi.inputs[0] != source.space or phi.output != target.space:
         raise InputError("map does not connect the two structure spaces")
+    # {target label: [(source label, c), ...]} in the order of phi's entries
+    preimages = {}
+    for (s,), outs in phi.coefficients.items():
+        for t, c in outs.items():
+            preimages.setdefault(t, []).append((s, c))
     violations = []
     for n in sorted(set(source.arities) | set(target.arities)):
         bs = source.bracket(n)
@@ -375,12 +386,7 @@ def strict_map_check(phi, source, target, injective=False):
         rhs = {}
         for key, o, c in bt.entries():
             # pull back through phi slot by slot; phi is even, no signs
-            images = []
-            for lab in key:
-                images.append([(skey[0], c2)
-                               for skey, outs in phi.coefficients.items()
-                               for o2, c2 in outs.items() if o2 == lab])
-            # phi is typically an embedding of basis labels; keep this simple
+            images = [preimages.get(lab, ()) for lab in key]
             for choice in itertools.product(*images):
                 skey = tuple(s for s, _ in choice)
                 cc = c
@@ -396,15 +402,11 @@ def strict_map_check(phi, source, target, injective=False):
                     violations.append((n, key, o, lrow.get(o, 0), rrow.get(o, 0)))
     kernel = None
     if injective:
-        src = source.space
-        tgt = target.space
-        for d, labels in src.components.items():
-            rows = []
-            for t in tgt.labels:
-                rows.append([phi.coefficients.get((s,), {}).get(t, 0) for s in labels])
-            vec = kernel_vector(rows)
+        rows = {t: dict(pre) for t, pre in preimages.items()}
+        for labels in source.space.components.values():
+            vec = kernel_vector(rows, labels)
             if vec is not None:
-                kernel = list(zip(labels, vec))
+                kernel = [(s, vec.get(s, 0)) for s in labels]
                 break
     return MapReport(sorted(violations), kernel)
 

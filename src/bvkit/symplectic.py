@@ -106,6 +106,7 @@ class ShiftedSymplecticStructure:
         component has mismatched dimension with no kernel vector needed.
         """
         witnesses = []
+        partners = self.partners()
         for rows, cols in self._blocks():
             if not rows:
                 continue
@@ -114,10 +115,15 @@ class ShiftedSymplecticStructure:
                 witnesses.append((d, None))
                 continue
             # kernel of x -> omega(x, .): coefficients along rows
-            mat = [[self.pairing(x, y) for x in rows] for y in cols]
-            vec = kernel_vector(mat)
+            cset = set(cols)
+            mat = {}
+            for x in rows:
+                for y, c in partners.get(x, ()):
+                    if y in cset:
+                        mat.setdefault(y, {})[x] = c
+            vec = kernel_vector(mat, rows)
             if vec is not None:
-                witnesses.append((d, [(x, c) for x, c in zip(rows, vec) if c]))
+                witnesses.append((d, [(x, vec[x]) for x in rows if x in vec]))
         return witnesses
 
     def inverse(self):
@@ -126,6 +132,7 @@ class ShiftedSymplecticStructure:
         if self._inverse is not None:
             return self._inverse
         inv = {}
+        partners = self.partners()
         for rows, cols in self._blocks():
             if not rows:
                 continue
@@ -133,16 +140,15 @@ class ShiftedSymplecticStructure:
                 raise StructureError(
                     f"degenerate pairing: degree {self.space.degree(rows[0])} "
                     f"block is not square")
-            mat = [[self.pairing(x, y) for y in cols] for x in rows]
-            minv = invert(mat)
+            minv = invert({x: dict(partners.get(x, ())) for x in rows}, cols)
             if minv is None:
                 raise StructureError(
                     f"degenerate pairing in the degree "
                     f"{self.space.degree(rows[0])} block")
-            for i, y in enumerate(cols):
-                for j, x in enumerate(rows):
-                    if minv[i][j]:
-                        inv[(y, x)] = minv[i][j]
+            position = {x: j for j, x in enumerate(rows)}
+            for y in cols:
+                for x in sorted(minv[y], key=position.__getitem__):
+                    inv[(y, x)] = minv[y][x]
         self._inverse = inv
         return inv
 

@@ -67,23 +67,32 @@ class TheoryFile:
         return f"TheoryFile({self.name!r})"
 
 
+# recipe fields read for every model kind (the last two by connection_tensor)
+MODEL_FIELDS = {"kind", "derivation", "dz_twist"}
+
+
 def _build_model(recipe):
     kind = recipe.get("kind")
+    if kind not in ("point", "interval", "torus", "laurent"):
+        raise InputError(f"unknown model kind {kind!r}")
+    used = MODEL_FIELDS | {"window"} if kind == "laurent" else MODEL_FIELDS
+    unused = sorted(set(recipe) - used)
+    if unused:
+        raise InputError(f"model field {unused[0]!r} is not used by the "
+                         f"{kind} model")
     if kind == "point":
         return point_model()
     if kind == "interval":
         return interval_model()
     if kind == "torus":
         return torus_model()
-    if kind == "laurent":
-        window = _int(recipe.get("window", 2), "model.window")
-        if window > MAX_LAURENT_WINDOW:
-            raise InputError(
-                f"model.window {window} is above the cap "
-                f"{MAX_LAURENT_WINDOW} (model dimension "
-                f"{16 * MAX_LAURENT_WINDOW ** 2})")
-        return laurent_dolbeault_model(window)
-    raise InputError(f"unknown model kind {kind!r}")
+    window = _int(recipe.get("window", 2), "model.window")
+    if window > MAX_LAURENT_WINDOW:
+        raise InputError(
+            f"model.window {window} is above the cap "
+            f"{MAX_LAURENT_WINDOW} (model dimension "
+            f"{16 * MAX_LAURENT_WINDOW ** 2})")
+    return laurent_dolbeault_model(window)
 
 
 def connection_tensor(model, alg, derivation=None, dz_twist=None):

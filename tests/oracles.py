@@ -1,6 +1,7 @@
 """Independent oracles: boundary Poisson structures of quadratic actions, the
-Poisson bracket of functions one tensor entry at a time, and the tensor
-brackets of A (x) g over every A-tuple (the last two at the end).
+Poisson bracket of functions one tensor entry at a time, the tensor brackets
+of A (x) g over every A-tuple, and dense linear algebra with the scanning
+strict-morphism check (the last three at the end).
 
 For a splitting l = l_+ (+) l_- of an ambient structure with at most binary
 brackets, the boundary bivector must reproduce the current-algebra formula
@@ -21,6 +22,7 @@ from fractions import Fraction
 
 from bvkit.cdga import tensor_label
 from bvkit.formal import Polynomial
+from bvkit.graded import norm_scalar
 from bvkit.linfty import tensor_bracket_sign
 
 
@@ -186,3 +188,114 @@ def dense_tensor_brackets(model, alg):
         if coeffs or nflags:
             out[n] = (coeffs, nflags)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dense Gaussian elimination on lists of rows, and the strict-morphism check
+# that scans the whole map for the preimages of every label: the independent
+# routes for the sparse kernel of bvkit.linalg and for the preimage index of
+# bvkit.linfty.strict_map_check.
+
+
+def _echelon(matrix):
+    """Row-reduce a copy; returns (echelon rows, pivot column list)."""
+    rows = [list(map(Fraction, r)) for r in matrix]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def dense_rank(matrix):
+    if not matrix or not matrix[0]:
+        return 0
+    return len(_echelon(matrix)[1])
+
+
+def dense_kernel_vector(matrix):
+    """A nonzero kernel vector of the matrix (as a column-space map), or None."""
+    if not matrix:
+        return None
+    ncols = len(matrix[0])
+    rows, pivots = _echelon(matrix)
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return None
+    c = free[0]
+    vec = [Fraction(0)] * ncols
+    vec[c] = Fraction(1)
+    for i, p in enumerate(pivots):
+        vec[p] = -rows[i][c]
+    return [norm_scalar(v) for v in vec]
+
+
+def dense_invert(matrix):
+    """Inverse of a square matrix, or None if singular."""
+    n = len(matrix)
+    if n == 0:
+        return []
+    if any(len(r) != n for r in matrix):
+        return None
+    aug = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)]
+           for i, r in enumerate(matrix)]
+    rows, pivots = _echelon(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [[norm_scalar(x) for x in row[n:]] for row in rows[:n]]
+
+
+def scan_strict_map_check(phi, source, target, injective=False):
+    """(violations, kernel) of phi as a strict morphism, finding the
+    preimages of each label by a scan of every entry of phi."""
+    violations = []
+    for n in sorted(set(source.arities) | set(target.arities)):
+        lhs = {}
+        for key, o, c in source.bracket(n).entries():
+            for o2, c2 in phi.coefficients.get((o,), {}).items():
+                row = lhs.setdefault(key, {})
+                row[o2] = row.get(o2, 0) + c * c2
+        rhs = {}
+        for key, o, c in target.bracket(n).entries():
+            images = [[(skey[0], c2)
+                       for skey, outs in phi.coefficients.items()
+                       for o2, c2 in outs.items() if o2 == lab]
+                      for lab in key]
+            for choice in itertools.product(*images):
+                skey = tuple(s for s, _ in choice)
+                cc = c
+                for _, c2 in choice:
+                    cc *= c2
+                row = rhs.setdefault(skey, {})
+                row[o] = row.get(o, 0) + cc
+        for key in set(lhs) | set(rhs):
+            lrow = {o: c for o, c in lhs.get(key, {}).items() if c}
+            rrow = {o: c for o, c in rhs.get(key, {}).items() if c}
+            for o in set(lrow) | set(rrow):
+                if lrow.get(o, 0) != rrow.get(o, 0):
+                    violations.append(
+                        (n, key, o, lrow.get(o, 0), rrow.get(o, 0)))
+    kernel = None
+    if injective:
+        for d, labels in source.space.components.items():
+            rows = [[phi.coefficients.get((s,), {}).get(t, 0)
+                     for s in labels] for t in target.space.labels]
+            vec = dense_kernel_vector(rows)
+            if vec is not None:
+                kernel = list(zip(labels, vec))
+                break
+    return sorted(violations), kernel

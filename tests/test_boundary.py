@@ -5,16 +5,20 @@ from bvkit.boundary import (IntervalBulk, LagrangianSplitting, boundary_theory,
                             check_splitting, decompose_action,
                             extract_phase_space, reassemble,
                             suggest_complement)
-from bvkit.cdga import (aksz_symplectic, interval_model, tensor_label,
-                        tensor_linfty, torus_model)
+from bvkit.cdga import (aksz_symplectic, interval_model,
+                        laurent_dolbeault_model, tensor_label, tensor_linfty,
+                        torus_model)
 from bvkit.errors import InputError, StructureError
-from bvkit.graded import GradedVectorSpace
-from bvkit.linfty import LInftyStructure, check_relations
+from bvkit.examples import get_example, wzw_splitting
+from bvkit.graded import GradedVectorSpace, MultilinearMap
+from bvkit.linfty import LInftyStructure, check_relations, strict_map_check
 from bvkit.polyvectors import check_homotopy_poisson
 from bvkit.symplectic import (ShiftedSymplecticStructure, action_from_brackets,
                               check_symplectic)
+from bvkit.theoryfile import realize
 
 from gen import random_invariant_structure, seeded
+from oracles import scan_strict_map_check
 
 
 def sl2():
@@ -89,6 +93,53 @@ def test_check_splitting_closure_failure():
     assert rep.closure.violations
     with pytest.raises(StructureError):
         decompose_action(LagrangianSplitting(alg, om, ["a", "b"], ["A", "B"]))
+
+
+def _wzw_window_2():
+    tf = get_example("wzw")
+    tf.model = dict(tf.model, window=2)
+    tf.splitting = wzw_splitting(laurent_dolbeault_model(2))
+    return realize(tf)
+
+
+def test_strict_map_check_matches_scan_on_open_plus():
+    """Three dz-forms of l_+ swapped for their partners: l_+ is no longer
+    closed, and the preimage index finds what the full scan finds."""
+    th = _wzw_window_2()
+    s = th.splitting
+    s = LagrangianSplitting(th.algebra, th.omega, s.plus[3:] + s.minus[:3],
+                            s.minus[3:] + s.plus[:3])
+    args = (s.inclusion_plus, s.induced_structure(), s.alg)
+    rep = strict_map_check(*args, injective=True)
+    assert rep.violations and rep.kernel is None
+    assert (rep.violations, rep.kernel) == \
+        scan_strict_map_check(*args, injective=True)
+
+
+def test_strict_map_check_matches_scan_on_non_injective_map():
+    """l_+ plus one label k sent to 2a - b, into the full structure from an
+    abelian source; l_1 is nonzero on a and b, so k has violations too."""
+    th = _wzw_window_2()
+    plus = th.splitting.plus
+    space = th.algebra.space
+    a, b = [p for p in plus if (p,) in th.algebra.brackets[1].coefficients][:2]
+    d = space.degree(a)
+    assert space.degree(b) == d
+    comps = {}
+    for p in plus:
+        comps.setdefault(space.degree(p), []).append(p)
+    comps[d].append("k")
+    source = GradedVectorSpace(comps)
+    coeffs = {(p,): {p: 1} for p in plus}
+    coeffs[("k",)] = {a: 2, b: -1}
+    phi = MultilinearMap((source,), space, 0, coeffs)
+    args = (phi, LInftyStructure(source, {}), th.algebra)
+    rep = strict_map_check(*args, injective=True)
+    assert any(v[1] == ("k",) for v in rep.violations)
+    assert {(lab, c) for lab, c in rep.kernel if c} == \
+        {("k", 1), (a, -2), (b, 1)}
+    assert (rep.violations, rep.kernel) == \
+        scan_strict_map_check(*args, injective=True)
 
 
 def test_interval_splitting_passes():

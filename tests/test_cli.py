@@ -150,12 +150,20 @@ def _zero_bracket_arity(doc):
     doc["brackets"]["0"] = [[[], "e", "1"]]
 
 
+def _unused_model_fields(doc):
+    doc["model"].update({"window": 2.5, "colour": "red"})
+
+
+def _window_outside_laurent(doc):
+    doc["model"]["window"] = 2
+
+
 @pytest.mark.parametrize("mutate", [
     _drop_symplectic_shift, _poisson_without_shift, _word_bracket_arity,
     _word_flag_arity, _word_poisson_arity, _short_pairing_entry,
     _unknown_flag_label, _unknown_model_derivation, _list_dz_twist,
     _dz_twist_without_dz, _fractional_shift, _boolean_shift,
-    _zero_bracket_arity])
+    _zero_bracket_arity, _unused_model_fields, _window_outside_laurent])
 @pytest.mark.parametrize("command", ["check", "boundary"])
 def test_malformed_file_exit_2(command, mutate):
     doc = _chern_simons_doc()
@@ -377,6 +385,41 @@ def test_centre_reports_pinned(name, command):
     res = run(command, "-i", "-", input=text)
     assert res.exit_code == 0, res.output
     assert _report_sha(res) == PINNED_REPORTS[(name, command)]
+
+
+# sha256 of the boundary reports without their timing, and of one failing
+# check whose nondegeneracy witnesses are kernel vectors, recorded before the
+# elimination kernel went sparse
+PINNED_BOUNDARY_REPORTS = {
+    "chern-simons":
+        "b0b22d517f3a2cbcd814f473bd45b3d6e6c1346550c0d59c42c6b1e7bfbcec3a",
+    "toda":
+        "1e03f84b5d45e635bac08deca4b7d1ce5e484432848bdd66223272f105c7e36c",
+    "wzw":
+        "8987d72a31acd060baeb258bbe732412990f4cc37fd6a3d6400f7d9d778248c2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BOUNDARY_REPORTS))
+def test_boundary_reports_pinned(name):
+    res = run("boundary", "-i", "-", input=serialize(get_example(name)))
+    assert res.exit_code == 0, res.output
+    assert _report_sha(res) == PINNED_BOUNDARY_REPORTS[name]
+
+
+def test_degenerate_pairing_report_pinned():
+    """chern-simons with omega(e, h) = omega(f, h) = 1 added: every degree
+    block of the AKSZ pairing has the kernel vector -e - f + h, and the
+    splitting pairing is singular."""
+    doc = _chern_simons_doc()
+    doc["symplectic"]["entries"] += [["e", "h", "1"], ["f", "h", "1"]]
+    res = run("check", "-i", "-", input=json.dumps(doc))
+    assert res.exit_code == 1, res.output
+    sym = json.loads(res.output)["checks"][1]
+    assert ["nondegeneracy", ["1", [["a|e", "-1"], ["a|f", "-1"],
+                                    ["a|h", "1"]]]] in sym["witnesses"]
+    assert _report_sha(res) == \
+        "11d16cf4ef1f5990b75c3c79543d66b9cc8abc14ba0a075630cdc12c3e8beb70"
 
 
 def test_boundary_failing_splitting_exit_1():

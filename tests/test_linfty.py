@@ -175,6 +175,18 @@ def test_strict_map_kernel_witness():
     assert all(v == 0 for v in acc.values()) and any(c for _, c in rep.kernel)
 
 
+def test_strict_map_into_zero_space_is_not_injective():
+    """The zero map has no stored rows at all; every source vector is in its
+    kernel, and the witness is the first basis vector."""
+    A = GradedVectorSpace({0: ["X", "Y"]})
+    Z = GradedVectorSpace({})
+    phi = MultilinearMap((A,), Z, 0, {})
+    rep = strict_map_check(phi, abelian(A), LInftyStructure(Z, {}),
+                           injective=True)
+    assert not rep.passed
+    assert rep.kernel == [("X", 1), ("Y", 0)]
+
+
 def test_adjoint_module_sl2():
     g = sl2()
     mod = adjoint_module(g, {"e": "e'", "f": "f'", "h": "h'"})
