@@ -23,9 +23,9 @@ from .errors import InputError, StructureError
 from .formal import Polynomial, PolynomialRing
 from .graded import GradedVectorSpace, MultilinearMap, SYM_GRADED
 from .linalg import invert, rank
-from .linfty import LInftyStructure, brackets_to_vf, strict_map_check
+from .linfty import LInftyStructure, strict_map_check
 from .polyvectors import (CotangentModel, HomotopyPoissonStructure,
-                          PolyvectorField, vector_field)
+                          PolyvectorField, structure_polyvector)
 from .symplectic import action_from_brackets, check_symplectic
 
 
@@ -35,20 +35,24 @@ def _sub_space(space, labels):
                               for d, labs in space.components.items()})
 
 
+def _check_labels(alg, omega, labels):
+    if omega.space != alg.space:
+        raise InputError("pairing is not defined on the structure space")
+    for lab in labels:
+        if lab not in alg.space:
+            raise InputError(f"unknown basis label {lab!r}")
+
+
 class LagrangianSplitting:
     """g = l_+ (+) l_- as a partition of the basis labels.
 
-    Holds the ambient structure and pairing, the two subspaces with their
-    inclusions, the coordinate projections, and the shift-n cotangent model
-    of l_+ used by the decomposition.  Validity is check_splitting's job.
+    Holds the ambient structure and pairing, the two subspaces, the
+    inclusion of l_+, and the shift-n cotangent model of l_+ used by the
+    decomposition.  Validity is check_splitting's job.
     """
 
     def __init__(self, alg, omega, plus, minus):
-        if omega.space != alg.space:
-            raise InputError("pairing is not defined on the structure space")
-        for lab in tuple(plus) + tuple(minus):
-            if lab not in alg.space:
-                raise InputError(f"unknown basis label {lab!r}")
+        _check_labels(alg, omega, tuple(plus) + tuple(minus))
         self.alg = alg
         self.omega = omega
         # keep the ambient basis order within each part
@@ -59,14 +63,6 @@ class LagrangianSplitting:
         self.minus_space = _sub_space(alg.space, self.minus)
         self.inclusion_plus = MultilinearMap(
             (self.plus_space,), alg.space, 0, {(p,): {p: 1} for p in self.plus})
-        self.inclusion_minus = MultilinearMap(
-            (self.minus_space,), alg.space, 0,
-            {(m,): {m: 1} for m in self.minus})
-        self.projection_plus = MultilinearMap(
-            (alg.space,), self.plus_space, 0, {(p,): {p: 1} for p in self.plus})
-        self.projection_minus = MultilinearMap(
-            (alg.space,), self.minus_space, 0,
-            {(m,): {m: 1} for m in self.minus})
         self.model = CotangentModel(self.plus_space, omega.shift)
         # not mutated after construction, so stored results stay valid
         self._report = None     # check_splitting
@@ -183,17 +179,24 @@ def suggest_complement(alg, omega, plus):
     Returns a label tuple, or None when no coordinate complement exists
     (the result is a suggestion only -- the boundary structure depends on
     the choice up to homotopy, so the caller must record it)."""
-    space = alg.space
     plus = tuple(plus)
+    _check_labels(alg, omega, plus)
     taken = set(plus)
+    partners = omega.partners()
+    # {p: {m: omega(m, p)}} over p in l_+, one column per chosen m; the
+    # row signs of the splitting's pairing matrix do not change its rank
+    block = {}
     chosen = []
-    for m in space.labels:
+    for m in alg.space.labels:
         if m in taken or omega.pairing(m, m) \
                 or any(omega.pairing(m, m2) for m2 in chosen):
             continue
-        trial = LagrangianSplitting(alg, omega, plus, chosen + [m])
-        # keep m only if it adds an independent functional on l_+
-        if rank(trial.pairing_matrix(), trial.minus) == len(chosen) + 1:
+        for p, c in partners.get(m, ()):
+            if p in taken:
+                block.setdefault(p, {})[m] = c
+        # keep m only if it adds an independent functional on l_+ (a
+        # rejected m stays in the block, outside the listed columns)
+        if rank(block, chosen + [m]) == len(chosen) + 1:
             chosen.append(m)
     if len(chosen) != len(plus):
         return None
@@ -204,29 +207,28 @@ def _monomial_name(ring, mono):
     return "*".join(ring.names[i] for i in mono)
 
 
-def _substitution(s, invert_direction):
-    """Generator images for Phi (ambient ring -> cotangent ring) or its
-    inverse (cotangent ring -> ambient ring)."""
-    M = s.pairing_matrix()
+def _to_model(s):
+    """Generator images of Phi, from the ambient ring to the cotangent
+    ring: xi_m = sum_p (M^-1)[m][p] xi_(p*)."""
+    B = invert(s.pairing_matrix(), s.minus)
+    if B is None:
+        raise StructureError("omega restricted to l_- x l_+ is singular")
     amb = PolynomialRing.functions_on(s.alg.space)
-    if invert_direction == "to_model":
-        B = invert(M, s.minus)
-        if B is None:
-            raise StructureError("omega restricted to l_- x l_+ is singular")
-        # xi_m = sum_p (M^-1)[m][p] xi_(p*)
-        position = {p: b for b, p in enumerate(s.plus)}
-        gen_map = {}
-        for m in s.minus:
-            gen_map[amb.gen_index(m)] = [
-                (s.model.ring.gen_index(s.model.fibers[p]), B[m][p])
-                for p in sorted(B[m], key=position.__getitem__)]
-        return amb, s.model.ring, gen_map
-    # xi_(p*) = sum_m M[p][m] xi_m
-    gen_map = {}
-    for p, row in M.items():
-        gen_map[s.model.ring.gen_index(s.model.fibers[p])] = [
-            (amb.gen_index(m), c) for m, c in row.items()]
-    return s.model.ring, amb, gen_map
+    ring = s.model.ring
+    position = {p: b for b, p in enumerate(s.plus)}
+    return {amb.gen_index(m): [
+        (ring.gen_index(s.model.fibers[p]), B[m][p])
+        for p in sorted(B[m], key=position.__getitem__)] for m in s.minus}
+
+
+def _to_ambient(s):
+    """(ambient ring, generator images of Phi^-1 from the cotangent ring to
+    it): xi_(p*) = sum_m M[p][m] xi_m."""
+    amb = PolynomialRing.functions_on(s.alg.space)
+    ring = s.model.ring
+    return amb, {ring.gen_index(s.model.fibers[p]): [
+        (amb.gen_index(m), c) for m, c in row.items()]
+        for p, row in s.pairing_matrix().items()}
 
 
 def decompose_action(s, max_j=None, on_flags="error"):
@@ -247,8 +249,8 @@ def decompose_action(s, max_j=None, on_flags="error"):
             raise StructureError(
                 f"ambient pairing fails check_symplectic: {srep}")
         S = action_from_brackets(s.alg, s.omega, on_flags=on_flags)
-        _, ring, gen_map = _substitution(s, "to_model")
-        total = S.polynomial.substitute(ring, gen_map)
+        ring = s.model.ring
+        total = S.polynomial.substitute(ring, _to_model(s))
         by_j = {}
         for mono, c in total.terms.items():
             by_j.setdefault(s.model.fiber_count(mono), {})[mono] = c
@@ -266,7 +268,7 @@ def decompose_action(s, max_j=None, on_flags="error"):
 def reassemble(s, pieces):
     """sum_j S_j rewritten back in the ambient coordinates; inverse of
     decompose_action (exact identity with the original action)."""
-    _, amb, gen_map = _substitution(s, "to_ambient")
+    amb, gen_map = _to_ambient(s)
     total = amb.zero()
     for p in pieces:
         total = total + p.poly.substitute(amb, gen_map)
@@ -326,9 +328,7 @@ def boundary_theory(s, on_flags="error"):
             raise InputError("induced brackets are flagged; pass "
                              "on_flags='drop' if flagged components vanish")
         induced = _strip_flags(induced)
-    _, comps = brackets_to_vf(induced)
-    QF = vector_field(s.model, {c: s.model.lift(q)
-                                for c, q in comps.items()})
+    QF = structure_polyvector(induced, s.model)
     diff = pieces[1].poly + QF.poly.scale(-1) if len(pieces) > 1 \
         else QF.poly.scale(-1)
     if not diff.is_zero():

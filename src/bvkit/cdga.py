@@ -12,8 +12,13 @@ closed under multiplication and differentiation; any operation whose true
 result leaves the stored basis window is FLAGGED, never silently truncated.
 Flags propagate into tensor structures as indeterminate bracket tuples.
 
-tensor_linfty(A, g) carries an L-infinity structure on A (x) g:
-l_1 = d (x) 1 + 1 (x) l_1 (with the sign (-1)^|a| on the second term) and
+tensor_linfty(A, g) carries an L-infinity structure on A (x) g, and nothing
+else builds its differential:
+l_1 = d (x) 1 + (-1)^|a| 1 (x) l_1, plus D (x) 1 for a named second
+derivation D of A (the holomorphic del of a Dolbeault model) and
+(-1)^|a| (a . form) (x) l_2(w, x) for a twist (form, w) (the dz (x) [w, -]
+of the Toda recipe); the rows are built in one pass and the flag rule is in
+the tensor_linfty docstring.  For n >= 2,
 l_n(a_1 (x) x_1, ..) = sign * (a_1..a_n) (x) l_n(x_1..x_n), the sign being
 tensor_bracket_sign (Koszul for the interleaving plus one (-1)^|a_i| per
 coefficient, since every bracket is odd in shifted degrees).  The A-products
@@ -433,46 +438,65 @@ def _a_products(model, max_n):
     return tables
 
 
-def tensor_linfty(model, alg):
+def tensor_linfty(model, alg, derivation=None, twist=None):
     """The L-infinity structure on A (x) g (module docstring formula).
+
+    derivation: the name of a second model derivation D, adding D (x) 1 to
+    l_1; twist: a pair (form, w) of a model label and a g label, adding
+    a (x) x -> (-1)^|a| (a . form) (x) l_2(w, x) to l_1.
+
+    Each l_1 row (a|x,) is built once.  A flag from d(a) or from a flagged
+    (x,) of g's l_1 flags the row and drops its d (x) 1 and 1 (x) l_1
+    parts; a flag from D(a) or from a . form flags it and keeps every part.
+    The twist flags nothing when l_2(w, -) has no stored row.
 
     l_n for n >= 2 walks, per stored or flagged g key, the table of A-tuples
     with a nonzero or flagged product (`_a_products`), so zero products are
     never visited.  A tuple is flagged when its left-to-right product
     leaves A's window at any step, even if the full product would land back
-    inside it.  Flags of g propagate: a flagged g key flags every tensor
-    tuple over a nonzero or flagged A-product, and a flagged (x,) of l_1
-    flags (a|x,) for every a.  l_1 inputs with a flagged differential are
-    flagged as well."""
+    inside it.  A flagged g key flags every tensor tuple over a nonzero or
+    flagged A-product."""
     g = alg.space
     tsp = tensor_space(model, g)
     tlab = {x: {a: tensor_label(a, x) for a in model.space.labels}
             for x in g.labels}
     brackets = {}
 
-    # l_1 = d (x) 1 + (-1)^|a| 1 (x) l_1
+    b1 = alg.bracket(1)
+    twist_rows = {}
+    if twist is not None:
+        form, w = twist
+        b2 = alg.bracket(2).coefficients
+        twist_rows = {x: b2[(w, x)] for x in g.labels if b2.get((w, x))}
+    none = ({}, False)
     l1_coeffs = {}
     l1_flags = set()
-    b1 = alg.brackets.get(1)
     for a in model.space.labels:
-        da, fl = model.d({a: 1})
+        s = -1 if model.degree(a) % 2 else 1
+        da, d_fl = model.d({a: 1})
+        Da, D_fl = none if derivation is None else \
+            model.derivation(derivation, {a: 1})
+        aw, w_fl = model.product({a: 1}, {form: 1}) if twist_rows else none
         for x in g.labels:
-            key = (tensor_label(a, x),)
-            row = l1_coeffs.setdefault(key, {})
-            if fl or (b1 is not None and (x,) in b1.flags):
+            key = (tlab[x][a],)
+            # the row is a sum of parts u (x) v, each with a sign
+            parts = []
+            if d_fl or (x,) in b1.flags:
                 l1_flags.add(key)
-            for b, c in da.items():
-                o = tensor_label(b, x)
-                row[o] = row.get(o, 0) + c
-            if b1 is not None:
-                s = -1 if model.degree(a) % 2 else 1
-                for y, c in b1.coefficients.get((x,), {}).items():
-                    o = tensor_label(a, y)
-                    row[o] = row.get(o, 0) + s * c
-    l1_coeffs = {k: {o: c for o, c in row.items() if c}
-                 for k, row in l1_coeffs.items()}
-    l1_coeffs = {k: row for k, row in l1_coeffs.items()
-                 if row and k not in l1_flags}
+            else:
+                parts += [(da, {x: 1}, 1), ({a: 1}, b1((x,)), s)]
+            if D_fl or w_fl:
+                l1_flags.add(key)
+            parts += [(Da, {x: 1}, 1), (aw, twist_rows.get(x, {}), s)]
+            row = {}
+            for u, v, sign in parts:
+                for b, cb in u.items():
+                    for y, cy in v.items():
+                        o = tlab[y][b]
+                        row[o] = row.get(o, 0) + sign * cb * cy
+            row = {o: c for o, c in row.items() if c}
+            if row:
+                l1_coeffs[key] = row
     if l1_coeffs or l1_flags:
         brackets[1] = MultilinearMap((tsp,), tsp, 1, l1_coeffs, SYM_GRADED,
                                      1, l1_flags)

@@ -21,7 +21,7 @@ from .boundary import IntervalBulk, LagrangianSplitting, boundary_theory
 from .errors import InputError, StructureError
 from .graded import MultilinearMap
 from .linalg import rank
-from .linfty import LInftyStructure, vf_to_brackets
+from .linfty import vf_to_brackets
 from .polyvectors import (check_homotopy_poisson, poisson_from_symplectic,
                           structure_polyvector)
 from .symplectic import check_symplectic, hamiltonian_components
@@ -62,7 +62,7 @@ def assemble_twisted(l, pbar):
     model = pbar.model
     if model.base != l.space:
         raise InputError("Poisson structure lives on a different space")
-    F = structure_polyvector(l, model.shift).poly + pbar.function()
+    F = structure_polyvector(l, model).poly + pbar.function()
     return vf_to_brackets(model.total, hamiltonian_components(
         F, model.tensor, model.total.labels))
 

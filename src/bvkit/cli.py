@@ -14,9 +14,10 @@
 
 Reports are JSON (default) or a plain table, written to stdout or --output.
 Exit status: 0 all checks passed, 1 at least one check failed, 2 the input
-could not be processed.  Failed checks always carry witnesses.  Checks run
-one after another in their declared order, and reports are deterministic for
-a given input up to the timing field.
+could not be processed (running out of memory included).  Failed checks
+always carry witnesses.  Checks run one after another in their declared
+order, and reports are deterministic for a given input up to the timing
+field.
 """
 
 import hashlib
@@ -332,6 +333,10 @@ def _run(command, input, output, max_arity, max_polyvector, table):
         COMMANDS[command](report, th, max_polyvector)
     except (InputError, StructureError) as e:
         click.echo(f"error: {e}", err=True)
+        sys.exit(2)
+    except MemoryError:
+        click.echo(f"error: {command} ran out of memory on this input",
+                   err=True)
         sys.exit(2)
     report.doc["timing_ms"] = int((time.monotonic() - start) * 1000)
     _emit(report.render(table), output)

@@ -21,9 +21,7 @@ catalogue:
                             splitting, one level deeper into the bulk
 """
 
-from fractions import Fraction
-
-from .cdga import laurent_dolbeault_model, split_label, tensor_label, torus_model
+from .cdga import laurent_dolbeault_model, tensor_label, torus_model
 from .errors import InputError
 from .graded import GradedVectorSpace
 from .linfty import LInftyStructure

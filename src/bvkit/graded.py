@@ -138,20 +138,8 @@ def koszul_sign(permutation, degrees):
     return sign
 
 
-def perm_parity(permutation):
-    """Ordinary sign of a permutation (for graded-antisymmetric maps)."""
-    sign = 1
-    perm = list(permutation)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 SYM_NONE = "none"
 SYM_GRADED = "graded-symmetric"
-ANTISYM_GRADED = "graded-antisymmetric"
 
 
 class MultilinearMap:
@@ -241,8 +229,6 @@ class MultilinearMap:
             for perm in itertools.permutations(range(self.arity)):
                 pkey = tuple(key[i] for i in perm)
                 sign = koszul_sign(perm, degs)
-                if self.symmetry == ANTISYM_GRADED:
-                    sign *= perm_parity(perm)
                 prow = self.coefficients.get(pkey, {})
                 seen = set(outs) | set(prow)
                 for o in seen:

@@ -211,14 +211,15 @@ def vf_components(p):
     return hamiltonian_components(p.poly, model.tensor, model.base.labels)
 
 
-def structure_polyvector(alg, shift):
-    """Q as an arity-1 polyvector on the shift-n cotangent model: the
+def structure_polyvector(alg, model):
+    """Q as an arity-1 polyvector on the cotangent model of alg's space: the
     fiber-linear function whose Hamiltonian components are the vector field
     of the L-infinity structure."""
-    model = CotangentModel(alg.space, shift)
-    ring, comps = brackets_to_vf(alg)
-    lifted = {c: q.substitute(model.ring, {}) for c, q in comps.items()}
-    return vector_field(model, lifted)
+    if model.base != alg.space:
+        raise InputError("cotangent model is not built on the structure "
+                         "space")
+    _, comps = brackets_to_vf(alg)
+    return vector_field(model, comps)
 
 
 class HomotopyPoissonStructure:
@@ -337,7 +338,7 @@ def check_homotopy_poisson(alg, pbar):
     model = pbar.model
     if alg.space != model.base:
         raise InputError("Poisson structure lives on a different space")
-    Q = structure_polyvector(alg, model.shift)
+    Q = structure_polyvector(alg, model)
     P = pbar.function()
     qq = model.bracket(Q.poly, Q.poly)
     mixed = model.bracket(Q.poly, P) + model.bracket(P, Q.poly)

@@ -10,17 +10,19 @@ serialize . parse is the identity on parse results.
 With a "model" recipe the declared algebra is the *coefficient* factor: the
 realized theory is model (x) algebra with the AKSZ pairing, an optional
 second derivation folded into l_1, and an optional dz-valued adjoint twist
-l_1 += dz ^ . (x) [w, -] for a declared coefficient label w.
+l_1 += dz ^ . (x) [w, -] for a declared coefficient label w.  The whole l_1
+is built by cdga.tensor_linfty; connection_tensor only checks the recipe:
+the derivation must name a derivation of the model, and dz_twist must be a
+label string of the coefficient algebra on a model with the form z0w0dz.
 """
 
 import json
 from fractions import Fraction
 
 from .cdga import (aksz_symplectic, interval_model, laurent_dolbeault_model,
-                   point_model, split_label, tensor_label, tensor_linfty,
-                   torus_model)
+                   point_model, tensor_linfty, torus_model)
 from .errors import InputError
-from .graded import GradedVectorSpace, MultilinearMap, SYM_GRADED
+from .graded import GradedVectorSpace
 from .linfty import LInftyStructure
 from .polyvectors import (CotangentModel, HomotopyPoissonStructure,
                           PolyvectorField)
@@ -96,12 +98,12 @@ def _build_model(recipe):
 
 
 def connection_tensor(model, alg, derivation=None, dz_twist=None):
-    """model (x) alg with extra l_1 terms beyond the model differential.
+    """model (x) alg from a recipe: the checks on its two l_1 fields, then
+    cdga.tensor_linfty, which builds the whole differential.
 
-    derivation: name of a second model derivation D, added as D (x) 1;
+    derivation: the name of a second model derivation D, added as D (x) 1;
     dz_twist: a coefficient label w, adding u (x) x -> dz ^ u (x) [w, x],
-    i.e. (-1)^|u| (u . dz) (x) b_2(w, x).  Window-escaping derivatives are
-    flagged like the model differential.
+    i.e. (-1)^|u| (u . dz) (x) b_2(w, x), on a model with the form z0w0dz.
     """
     if derivation is not None and (not isinstance(derivation, str)
                                    or derivation not in model.derivations):
@@ -109,58 +111,18 @@ def connection_tensor(model, alg, derivation=None, dz_twist=None):
             f"derivation {derivation!r} is not a derivation of "
             f"{model.name or 'the model'}; available: "
             f"{sorted(model.derivations)}")
-    if dz_twist is not None and not isinstance(dz_twist, str):
-        raise InputError(f"dz_twist {dz_twist!r} is not a label string")
-    if dz_twist is not None and "z0w0dz" not in model.space:
-        raise InputError(f"dz_twist needs the form z0w0dz, which "
-                         f"{model.name or 'the model'} does not have")
-    t = tensor_linfty(model, alg)
-    if derivation is None and dz_twist is None:
-        return t
-    b1 = t.brackets.get(1)
-    coeffs = {k: dict(v) for k, v in (b1.coefficients if b1 else {}).items()}
-    flags = set(b1.flags if b1 else ())
-    sp = t.space
-    twist = {}
+    twist = None
     if dz_twist is not None:
+        if not isinstance(dz_twist, str):
+            raise InputError(f"dz_twist {dz_twist!r} is not a label string")
+        if "z0w0dz" not in model.space:
+            raise InputError(f"dz_twist needs the form z0w0dz, which "
+                             f"{model.name or 'the model'} does not have")
         if dz_twist not in alg.space:
             raise InputError(f"dz_twist label {dz_twist!r} is not a "
                              "coefficient basis label")
-        b2 = alg.brackets.get(2)
-        for x in alg.space.labels:
-            row = b2.coefficients.get((dz_twist, x)) if b2 else None
-            if row:
-                twist[x] = row
-
-    def add(key, out, c):
-        if c:
-            row = coeffs.setdefault(key, {})
-            row[out] = row.get(out, 0) + c
-            if not row[out]:
-                del row[out]
-
-    for lab in sp.labels:
-        a, x = split_label(lab)
-        if derivation is not None:
-            da, fl = model.derivation(derivation, {a: 1})
-            if fl:
-                flags.add((lab,))
-            for b, c in da.items():
-                add((lab,), tensor_label(b, x), c)
-        if twist:
-            adz, fl = model.product({a: 1}, {"z0w0dz": 1})
-            if fl:
-                flags.add((lab,))
-            s = -1 if model.degree(a) % 2 else 1
-            for b, cb in adz.items():
-                for y, cy in twist.get(x, {}).items():
-                    add((lab,), tensor_label(b, y), s * cb * cy)
-    coeffs = {k: v for k, v in coeffs.items() if v}
-    brackets = dict(t.brackets)
-    if coeffs or flags:
-        brackets[1] = MultilinearMap((sp,), sp, 1, coeffs, SYM_GRADED, 1,
-                                     tuple(sorted(flags)))
-    return LInftyStructure(sp, brackets)
+        twist = ("z0w0dz", dz_twist)
+    return tensor_linfty(model, alg, derivation, twist)
 
 
 class RealizedTheory:

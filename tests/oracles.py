@@ -1,7 +1,8 @@
 """Independent oracles: boundary Poisson structures of quadratic actions, the
 Poisson bracket of functions one tensor entry at a time, the tensor brackets
-of A (x) g over every A-tuple, and dense linear algebra with the scanning
-strict-morphism check (the last three at the end).
+of A (x) g over every A-tuple, the two-pass l_1 of A (x) g, dense linear
+algebra with the scanning strict-morphism check, and the complement search
+through one trial splitting per label (the last five at the end).
 
 For a splitting l = l_+ (+) l_- of an ambient structure with at most binary
 brackets, the boundary bivector must reproduce the current-algebra formula
@@ -20,9 +21,11 @@ families; they cannot repair a wrong structure constant.
 import itertools
 from fractions import Fraction
 
-from bvkit.cdga import tensor_label
+from bvkit.boundary import LagrangianSplitting
+from bvkit.cdga import split_label, tensor_label, tensor_space
 from bvkit.formal import Polynomial
-from bvkit.graded import norm_scalar
+from bvkit.graded import SYM_GRADED, MultilinearMap, norm_scalar
+from bvkit.linalg import rank
 from bvkit.linfty import tensor_bracket_sign
 
 
@@ -191,6 +194,78 @@ def dense_tensor_brackets(model, alg):
 
 
 # ---------------------------------------------------------------------------
+# The l_1 of A (x) g in two passes: d (x) 1 + 1 (x) l_1 first, then the
+# second derivation and the dz twist added to a copy of its rows.  This is
+# the independent route for the one-pass l_1 of bvkit.cdga.tensor_linfty.
+
+
+def two_pass_l1(model, alg, derivation=None, dz_twist=None):
+    """The l_1 MultilinearMap of model (x) alg with the recipe's extra terms,
+    or None when it has neither coefficients nor flags."""
+    g = alg.space
+    tsp = tensor_space(model, g)
+    l1_coeffs = {}
+    l1_flags = set()
+    b1 = alg.brackets.get(1)
+    for a in model.space.labels:
+        da, fl = model.d({a: 1})
+        for x in g.labels:
+            key = (tensor_label(a, x),)
+            row = l1_coeffs.setdefault(key, {})
+            if fl or (b1 is not None and (x,) in b1.flags):
+                l1_flags.add(key)
+            for b, c in da.items():
+                o = tensor_label(b, x)
+                row[o] = row.get(o, 0) + c
+            if b1 is not None:
+                s = -1 if model.degree(a) % 2 else 1
+                for y, c in b1.coefficients.get((x,), {}).items():
+                    o = tensor_label(a, y)
+                    row[o] = row.get(o, 0) + s * c
+    l1_coeffs = {k: {o: c for o, c in row.items() if c}
+                 for k, row in l1_coeffs.items()}
+    coeffs = {k: row for k, row in l1_coeffs.items()
+              if row and k not in l1_flags}
+    flags = set(l1_flags)
+    twist = {}
+    if dz_twist is not None:
+        b2 = alg.brackets.get(2)
+        for x in g.labels:
+            row = b2.coefficients.get((dz_twist, x)) if b2 else None
+            if row:
+                twist[x] = row
+
+    def add(key, out, c):
+        if c:
+            row = coeffs.setdefault(key, {})
+            row[out] = row.get(out, 0) + c
+            if not row[out]:
+                del row[out]
+
+    if derivation is not None or dz_twist is not None:
+        for lab in tsp.labels:
+            a, x = split_label(lab)
+            if derivation is not None:
+                da, fl = model.derivation(derivation, {a: 1})
+                if fl:
+                    flags.add((lab,))
+                for b, c in da.items():
+                    add((lab,), tensor_label(b, x), c)
+            if twist:
+                adz, fl = model.product({a: 1}, {"z0w0dz": 1})
+                if fl:
+                    flags.add((lab,))
+                s = -1 if model.degree(a) % 2 else 1
+                for b, cb in adz.items():
+                    for y, cy in twist.get(x, {}).items():
+                        add((lab,), tensor_label(b, y), s * cb * cy)
+    coeffs = {k: v for k, v in coeffs.items() if v}
+    if not (coeffs or flags):
+        return None
+    return MultilinearMap((tsp,), tsp, 1, coeffs, SYM_GRADED, 1, flags)
+
+
+# ---------------------------------------------------------------------------
 # Dense Gaussian elimination on lists of rows, and the strict-morphism check
 # that scans the whole map for the preimages of every label: the independent
 # routes for the sparse kernel of bvkit.linalg and for the preimage index of
@@ -299,3 +374,27 @@ def scan_strict_map_check(phi, source, target, injective=False):
                 kernel = list(zip(labels, vec))
                 break
     return sorted(violations), kernel
+
+
+# ---------------------------------------------------------------------------
+# The greedy complement search through one trial LagrangianSplitting per
+# candidate label: the independent route for the growing pairing block of
+# bvkit.boundary.suggest_complement.
+
+
+def trial_splitting_complement(alg, omega, plus):
+    """A greedy isotropic complement to `plus`, or None, with the rank of a
+    whole trial splitting's pairing matrix deciding each label."""
+    plus = tuple(plus)
+    taken = set(plus)
+    chosen = []
+    for m in alg.space.labels:
+        if m in taken or omega.pairing(m, m) \
+                or any(omega.pairing(m, m2) for m2 in chosen):
+            continue
+        trial = LagrangianSplitting(alg, omega, plus, chosen + [m])
+        if rank(trial.pairing_matrix(), trial.minus) == len(chosen) + 1:
+            chosen.append(m)
+    if len(chosen) != len(plus):
+        return None
+    return tuple(chosen)

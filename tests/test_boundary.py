@@ -9,16 +9,16 @@ from bvkit.cdga import (aksz_symplectic, interval_model,
                         laurent_dolbeault_model, tensor_label, tensor_linfty,
                         torus_model)
 from bvkit.errors import InputError, StructureError
-from bvkit.examples import get_example, wzw_splitting
+from bvkit.examples import get_example, toda_splitting, wzw_splitting
 from bvkit.graded import GradedVectorSpace, MultilinearMap
 from bvkit.linfty import LInftyStructure, check_relations, strict_map_check
 from bvkit.polyvectors import check_homotopy_poisson
 from bvkit.symplectic import (ShiftedSymplecticStructure, action_from_brackets,
                               check_symplectic)
-from bvkit.theoryfile import realize
+from bvkit.theoryfile import connection_tensor, realize
 
 from gen import random_invariant_structure, seeded
-from oracles import scan_strict_map_check
+from oracles import scan_strict_map_check, trial_splitting_complement
 
 
 def sl2():
@@ -244,6 +244,62 @@ def test_suggest_complement_none_when_impossible():
     g = sl2()
     om = trace_form(g.space)
     assert suggest_complement(g, om, ["e", "h"]) is None
+
+
+@pytest.mark.parametrize("recipe", [("del", None, wzw_splitting),
+                                    ("del", "f", toda_splitting)],
+                         ids=["wzw", "toda"])
+def test_suggest_complement_matches_trial_splittings(recipe):
+    """The growing pairing block picks the labels that one trial splitting
+    per candidate picks, on the window-2 wzw and toda l_+."""
+    derivation, twist, split = recipe
+    m = laurent_dolbeault_model(2)
+    g = sl2()
+    t = connection_tensor(m, g, derivation, twist)
+    om = aksz_symplectic(m, trace_form(g.space))
+    plus, _ = split(m)
+    got = suggest_complement(t, om, plus)
+    assert got is not None
+    assert got == trial_splitting_complement(t, om, plus)
+
+
+def test_suggest_complement_matches_trial_splittings_random():
+    rng = seeded(53)
+    done = 0
+    while done < 10:
+        alg, om = random_invariant_structure(rng, max_dim=4)
+        if not om.entries:
+            continue
+        done += 1
+        for m in (interval_model(), torus_model()):
+            t = tensor_linfty(m, alg)
+            tom = aksz_symplectic(m, om)
+            labels = t.space.labels
+            for plus in (labels[:len(labels) // 2], labels[::2],
+                         labels[1::3]):
+                assert suggest_complement(t, tom, plus) == \
+                    trial_splitting_complement(t, tom, plus)
+    g = sl2()
+    assert trial_splitting_complement(g, trace_form(g.space),
+                                      ["e", "h"]) is None
+
+
+def test_suggest_complement_skips_dependent_labels():
+    """m2 pairs with p, but only in the direction m1 already covers."""
+    V = GradedVectorSpace({0: ["p", "m1", "m2"]})
+    om = ShiftedSymplecticStructure(V, 2, {("p", "m1"): 1, ("p", "m2"): 2})
+    alg = LInftyStructure(V, {})
+    assert suggest_complement(alg, om, ["p"]) == ("m1",)
+    assert trial_splitting_complement(alg, om, ["p"]) == ("m1",)
+
+
+def test_suggest_complement_input_checks():
+    t, om, plus, _ = interval_sl2()
+    with pytest.raises(InputError):
+        suggest_complement(t, om, plus + ["nope"])
+    g = sl2()
+    with pytest.raises(InputError):
+        suggest_complement(t, trace_form(g.space), ["e"])
 
 
 def test_interval_bulk_roundtrip():

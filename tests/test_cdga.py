@@ -13,10 +13,10 @@ from bvkit.examples import get_example
 from bvkit.graded import GradedVectorSpace, MultilinearMap
 from bvkit.linfty import (LInftyStructure, check_relations, strict_map_check)
 from bvkit.symplectic import ShiftedSymplecticStructure, check_symplectic
-from bvkit.theoryfile import parse, realize, serialize
+from bvkit.theoryfile import connection_tensor, parse, realize, serialize
 
 from gen import random_invariant_structure, seeded
-from oracles import dense_tensor_brackets
+from oracles import dense_tensor_brackets, two_pass_l1
 
 
 def sl2():
@@ -363,3 +363,80 @@ def test_realized_flags_survive_the_model_recipe():
     assert len(th.algebra.brackets[2].flags) == 18   # 9 nonzero A-products
     rep = check_relations(th.algebra)
     assert rep.passed and rep.indeterminate
+
+
+def flagged_dg_sl2():
+    """sl2 plus a degree-1 label u, with l_1(h) = u, l_2(e, u) = u, and
+    declared flags on (e,) of l_1 and (e, h) of l_2."""
+    V = GradedVectorSpace({0: ["e", "f", "h"], 1: ["u"]})
+    return LInftyStructure.from_entries(
+        V, {1: [(("h",), "u", 1)],
+            2: [(("e", "f"), "h", 1), (("h", "e"), "e", 2),
+                (("h", "f"), "f", -2), (("e", "u"), "u", 1)]},
+        flags={1: [("e",)], 2: [("e", "h")]})
+
+
+def flagged_form_model():
+    """{1, t, z0w0dz} with d t = z0w0dz and the product t . z0w0dz flagged:
+    the one model here on which the dz twist raises a flag."""
+    sp = GradedVectorSpace({0: ["1", "t"], 1: ["z0w0dz"]})
+    return cdga_from_products(
+        sp, "1", {("t", "t"): {}, ("z0w0dz", "z0w0dz"): {}},
+        {"t": {"z0w0dz": 1}}, {"z0w0dz": 1}, 1, name="flagged-form",
+        product_flags=[("t", "z0w0dz")])
+
+
+# (model, derivation, dz_twist): the recipes each model admits
+L1_RECIPES = [(point_model, None, None), (interval_model, None, None),
+              (torus_model, None, None), (flagged_form_model, None, "f")] + [
+    (lambda: laurent_dolbeault_model(2), derivation, twist)
+    for derivation, twist in ((None, None), ("del", None), ("delbar", None),
+                              (None, "f"), ("del", "f"), ("del", "e"))]
+
+
+@pytest.mark.parametrize("model,derivation,twist", L1_RECIPES,
+                         ids=["point", "interval", "torus",
+                              "flagged-form-twist-f", "laurent",
+                              "laurent-del", "laurent-delbar",
+                              "laurent-twist-f", "laurent-del-twist-f",
+                              "laurent-del-twist-e"])
+@pytest.mark.parametrize("alg", [sl2, flagged_dg_sl2],
+                         ids=["sl2", "flagged-dg"])
+def test_tensor_l1_matches_two_pass_oracle(model, derivation, twist, alg):
+    """One pass over (a, x) gives the l_1 of the two-pass reference: the
+    same coefficient dicts, row by row, and the same flags; the brackets
+    of arity >= 2 do not depend on the l_1 recipe."""
+    m, g = model(), alg()
+    t = connection_tensor(m, g, derivation, twist)
+    want = two_pass_l1(m, g, derivation, twist)
+    got = t.brackets.get(1)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.coefficients == want.coefficients
+        assert got.flags == want.flags
+    plain = tensor_linfty(m, g)
+    assert {n: (b.coefficients, b.flags) for n, b in t.brackets.items()
+            if n != 1} == {n: (b.coefficients, b.flags)
+                           for n, b in plain.brackets.items() if n != 1}
+
+
+def test_tensor_l1_flag_rule():
+    """A flag from d or from g's l_1 drops the d (x) 1 and 1 (x) l_1 parts
+    of the row; a flag from the second derivation keeps every part."""
+    m = laurent_dolbeault_model(2)
+    b1 = tensor_linfty(m, flagged_dg_sl2(), derivation="del").brackets[1]
+    # del z^-2 leaves the window, delbar z^-2 = 0: the l_1 part stays
+    assert ("z-2w0|h",) in b1.flags
+    assert b1.coefficients[("z-2w0|h",)] == {"z-2w0|u": 1}
+    # delbar w^-2 leaves the window: only del z^1 w^-2 = z^0 w^-2 dz stays
+    assert ("z1w-2|h",) in b1.flags
+    assert b1.coefficients[("z1w-2|h",)] == {"z0w-2dz|h": 1}
+    # g's l_1 flags (e,): only the del part stays
+    assert ("z1w0|e",) in b1.flags
+    assert b1.coefficients[("z1w0|e",)] == {"z0w0dz|e": 1}
+    assert ("z0w0|e",) in b1.flags and ("z0w0|e",) not in b1.coefficients
+    # a flag from the twist keeps the d (x) 1 part
+    b1 = tensor_linfty(flagged_form_model(), sl2(),
+                       twist=("z0w0dz", "f")).brackets[1]
+    assert ("t|e",) in b1.flags
+    assert b1.coefficients[("t|e",)] == {"z0w0dz|e": 1}

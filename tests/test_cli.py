@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 import bvkit.boundary
 import bvkit.centre
+import bvkit.cli
 import bvkit.polyvectors
 import bvkit.theoryfile
 from bvkit.cdga import laurent_dolbeault_model
@@ -351,6 +352,43 @@ def test_centre_brackets_through_one_derivative_table(monkeypatch):
     assert left == []
     assert len(fields) == 1
     assert sum(1 for poly in tables if poly is fields[0]) == 1
+
+
+@pytest.mark.parametrize("command,models", [("check", 1), ("centre", 1),
+                                            ("bulk", 1), ("roundtrip", 3)])
+def test_cotangent_models_per_command(monkeypatch, command, models):
+    """Q is built on the cotangent model the caller holds.  On torus (x)
+    gl_3 with Pi_omega, `check`, `centre` and `bulk` build only the model
+    of the Poisson section; `roundtrip` adds the canonical splitting's and
+    the triviality check's.  When structure_polyvector built a fresh model
+    on every call, the counts were 2, 3, 3 and 7."""
+    built = []
+    init = bvkit.polyvectors.CotangentModel.__init__
+
+    def counted(self, space, shift):
+        built.append(shift)
+        init(self, space, shift)
+    text = gl3_torus_text()
+    monkeypatch.setattr(bvkit.polyvectors.CotangentModel, "__init__",
+                        counted)
+    res = run(command, "-i", "-", input=text)
+    assert res.exit_code == 0, res.output
+    assert len(built) == models
+
+
+def test_memory_error_exit_2(monkeypatch):
+    """Running out of memory is an `error:` line and exit 2, never a
+    traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(bvkit.cli, "check_relations", exhausted)
+    for fmt in ("--json", "--table"):
+        res = run("check", "-i", "-", fmt, input=sl2_text())
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert "memory" in res.stderr and "Traceback" not in res.stderr
 
 
 def _report_sha(res):

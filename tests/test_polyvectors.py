@@ -201,7 +201,7 @@ def test_structure_polyvector_squares_iff_relations():
             continue
         done += 1
         for shift in (0, 1, 3):
-            Q = structure_polyvector(alg, shift)
+            Q = structure_polyvector(alg, CotangentModel(alg.space, shift))
             qq = schouten(Q, Q)
             assert qq.poly.is_zero() == check_relations(alg).passed
 
@@ -211,7 +211,7 @@ def test_schouten_with_q_squares_on_flat_structure():
     g = sl2()
     rng = seeded(19)
     for shift in (1, 2):
-        Q = structure_polyvector(g, shift)
+        Q = structure_polyvector(g, CotangentModel(g.space, shift))
         m = Q.model
         assert schouten(Q, Q).poly.is_zero()
         for _ in range(10):
